@@ -3,6 +3,13 @@
 // releases buffers in stack order, so each pool slot quickly converges
 // to the largest size used at its depth; after a short warmup,
 // acquire() is allocation-free.
+//
+// The pool stays bounded only if every release follows an acquire:
+// then idle_buffers() settles at the traversal's peak number of live
+// frames and stops changing. Releasing storage the pool never handed
+// out (say, a freshly allocated vector per cut frame) parks one more
+// buffer per call and grows the heap without bound, even though
+// acquire() itself never allocates.
 #pragma once
 
 #include <cstddef>

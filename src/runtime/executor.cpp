@@ -26,7 +26,7 @@ class PartitionedExecutor::Ctx final : public graph::Context {
 PartitionedExecutor::PartitionedExecutor(Graph& g,
                                          std::vector<Side> assignment,
                                          std::size_t radio_payload)
-    : graph_(g), sides_(std::move(assignment)),
+    : graph_(g), sides_(std::move(assignment)), sources_(g.sources()),
       radio_payload_(radio_payload) {
   WB_REQUIRE(sides_.size() == g.num_operators(),
              "assignment does not match graph");
@@ -47,21 +47,30 @@ void PartitionedExecutor::set_loss_hook(
 
 void PartitionedExecutor::route(OperatorId from, Frame&& f) {
   const std::vector<std::size_t>& out = graph_.out_edges(from);
+  // True while wire_ holds f's bytes. A cut delivery keeps it valid
+  // (server operators have no cut edges below them); a local delivery
+  // may route other node frames through wire_, so it clears it.
+  bool wired = false;
   for (std::size_t idx = 0; idx < out.size(); ++idx) {
     const graph::Edge& e = graph_.edges()[out[idx]];
     const bool last = idx + 1 == out.size();
     if (sides_[e.from] == Side::kNode && sides_[e.to] == Side::kServer) {
-      // Cut edge: marshal, packetize, (maybe) lose, unmarshal.
-      const std::vector<std::uint8_t> wire = marshal(f);
-      const auto packets = packetize(wire, radio_payload_);
+      // Cut edge: marshal (once per frame), send, (maybe) lose,
+      // unmarshal into pooled storage.
+      if (!wired) {
+        marshal_into(f, wire_);
+        wired = true;
+      }
       stats_.cut_frames += 1;
-      stats_.cut_payload_bytes += wire.size();
-      stats_.cut_messages += packets.size();
+      stats_.cut_payload_bytes += wire_.size();
+      stats_.cut_messages += packet_count(wire_.size(), radio_payload_);
       if (loss_hook_ && !loss_hook_(stats_.cut_frames - 1)) {
         stats_.cut_frames_lost += 1;
         continue;
       }
-      deliver(e.to, e.to_port, unmarshal(reassemble(packets)));
+      std::vector<float> buf = pool_.acquire(f.size());
+      const graph::Encoding enc = unmarshal_into(wire_, buf);
+      deliver(e.to, e.to_port, Frame(std::move(buf), enc));
     } else if (last) {
       // Local edge, sole remaining consumer: hand the frame over.
       deliver(e.to, e.to_port, std::move(f));
@@ -70,6 +79,7 @@ void PartitionedExecutor::route(OperatorId from, Frame&& f) {
       std::vector<float> buf = pool_.acquire(f.size());
       std::copy(f.samples().begin(), f.samples().end(), buf.begin());
       deliver(e.to, e.to_port, Frame(std::move(buf), f.encoding()));
+      wired = false;
     }
   }
   // Reclaim whatever storage the frame still owns (not moved out, or
@@ -102,8 +112,7 @@ std::map<OperatorId, std::vector<Frame>> PartitionedExecutor::run(
   WB_REQUIRE(num_events > 0, "need at least one event");
   std::map<OperatorId, std::vector<Frame>> out;
   sink_out_ = collect_sink_ ? &out : nullptr;
-  const auto sources = graph_.sources();
-  for (OperatorId s : sources) {
+  for (OperatorId s : sources_) {
     const auto it = traces.find(s);
     WB_REQUIRE(it != traces.end() && it->second.size() >= num_events,
                "missing or short trace for source '" +
@@ -111,7 +120,7 @@ std::map<OperatorId, std::vector<Frame>> PartitionedExecutor::run(
   }
   for (std::size_t i = 0; i < num_events; ++i) {
     ++stats_.events;
-    for (OperatorId s : sources) {
+    for (OperatorId s : sources_) {
       // Copy the (const) trace frame into pooled storage so the whole
       // traversal runs on recycled buffers.
       const Frame& src = traces.at(s)[i];

@@ -7,9 +7,15 @@
 // unpartitioned one — the repartitioning-correctness property Wishbone
 // relies on.
 //
-// Streaming is allocation-free in steady state: frames move (never
-// copy) along local edges, fan-out copies land in pooled buffers, and
-// every frame's storage returns to the pool after its consumer runs.
+// Streaming is allocation-free in steady state, cut edges included:
+// frames move (never copy) along local edges, fan-out copies land in
+// pooled buffers, and every frame's storage returns to the pool after
+// its consumer runs. A cut frame is marshalled once into the executor's
+// reused wire buffer (however many cut edges it crosses), the radio
+// charges packet_count() messages for it, and each receiving operator
+// gets a pool-acquired buffer unmarshalled from that wire. Every
+// release into the pool follows an acquire from it, so the pool stays
+// balanced and its idle-buffer count stops changing once warm.
 // Operators cooperate by building outputs in ctx.get_buffer() storage.
 // The executor does not profile, so Context::cost_meter() is nullptr.
 #pragma once
@@ -66,6 +72,12 @@ class PartitionedExecutor {
 
   [[nodiscard]] const ExecStats& stats() const { return stats_; }
 
+  /// Buffers parked in the frame pool between events. Constant across
+  /// runs of any length once the pool is warm (the balance contract).
+  [[nodiscard]] std::size_t idle_buffers() const {
+    return pool_.idle_buffers();
+  }
+
  private:
   class Ctx;
 
@@ -74,11 +86,13 @@ class PartitionedExecutor {
 
   Graph& graph_;
   std::vector<Side> sides_;
+  std::vector<OperatorId> sources_;  ///< graph_.sources(), cached
   std::size_t radio_payload_;
   std::function<bool(std::uint64_t)> loss_hook_;
   ExecStats stats_;
   graph::CostMeter scratch_meter_;  ///< executor does not profile
   BufferPool pool_;                 ///< recycled frame storage
+  std::vector<std::uint8_t> wire_;  ///< reused cut-frame wire buffer
   bool collect_sink_ = true;
   std::map<OperatorId, std::vector<Frame>>* sink_out_ = nullptr;
 };

@@ -1,13 +1,18 @@
 // Steady-state allocation tests: once the executor's buffer pool has
-// warmed up, streaming events through a fully-local pipeline must not
-// touch the heap at all. Measured with the counting global operator
-// new (util/alloc_count.hpp) by comparing two runs of different length:
-// any fixed per-run overhead (the sources vector, the empty result map)
-// cancels out, so the difference isolates per-event allocations.
+// warmed up, streaming events through a pipeline must not touch the
+// heap at all, whether it runs wholly on the node or crosses a cut
+// (marshal into the reused wire buffer, unmarshal into pooled storage).
+// Measured with the counting global operator new (util/alloc_count.hpp)
+// by comparing two runs of different length: any fixed per-run
+// overhead cancels out, so the difference isolates per-event
+// allocations. The pool's idle-buffer count must not depend on run
+// length either: a pool that keeps storage it never handed out grows
+// with every cut frame even when nothing allocates.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "apps/eeg.hpp"
@@ -44,6 +49,19 @@ std::size_t per_event_allocs(
   return long_run > short_run ? long_run - short_run : 0;
 }
 
+/// Both steady-state contracts on a warmed executor: no allocations
+/// per event, and the same number of idle pool buffers after a short
+/// and a long run.
+void expect_steady_state(
+    PartitionedExecutor& ex,
+    const std::map<OperatorId, std::vector<Frame>>& traces) {
+  EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
+  ex.run(traces, 20);
+  const std::size_t idle_short = ex.idle_buffers();
+  ex.run(traces, 100);
+  EXPECT_EQ(ex.idle_buffers(), idle_short);
+}
+
 TEST(AllocFree, EegSteadyStateMakesZeroAllocationsPerEvent) {
   EegConfig cfg;
   cfg.channels = 3;          // full wavelet cascade, smaller fan-in
@@ -61,7 +79,7 @@ TEST(AllocFree, EegSteadyStateMakesZeroAllocationsPerEvent) {
   // steady ring occupancy only after the cascade's pipeline fills).
   ex.run(traces, 30);
 
-  EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
+  expect_steady_state(ex, traces);
 }
 
 TEST(AllocFree, SpeechSteadyStateMakesZeroAllocationsPerEvent) {
@@ -76,7 +94,62 @@ TEST(AllocFree, SpeechSteadyStateMakesZeroAllocationsPerEvent) {
   // First run populates the FFT/DCT plan caches and the buffer pool.
   ex.run(traces, 30);
 
-  EXPECT_EQ(per_event_allocs(ex, traces, 20, 80), 0u);
+  expect_steady_state(ex, traces);
+}
+
+/// Speech cut after `filtBank` (cut point 4): 32 float mel energies
+/// cross the radio per frame.
+TEST(AllocFree, SpeechCutAtFiltBankIsAllocationFree) {
+  apps::SpeechApp app = apps::build_speech_app();
+  const auto traces = apps::speech_traces(app, 130);
+  PartitionedExecutor ex(app.g, app.assignment_for_cut(4));
+  ex.set_collect_sink_output(false);
+  ex.run(traces, 30);
+  ASSERT_GT(ex.stats().cut_frames, 0u);
+
+  expect_steady_state(ex, traces);
+}
+
+/// Speech cut after `cepstrals` (cut point 6): the paper's 52-byte
+/// cepstral frames cross the radio.
+TEST(AllocFree, SpeechCutAtCepstralsIsAllocationFree) {
+  apps::SpeechApp app = apps::build_speech_app();
+  const auto traces = apps::speech_traces(app, 130);
+  PartitionedExecutor ex(app.g, app.assignment_for_cut(6));
+  ex.set_collect_sink_output(false);
+  ex.run(traces, 30);
+  ASSERT_GT(ex.stats().cut_frames, 0u);
+
+  expect_steady_state(ex, traces);
+}
+
+/// EEG under a Gumstix-style cut: each channel's first two wavelet
+/// levels run on the node, so the int16-tagged output of `low2.add`
+/// crosses the cut, fanning out to two server-side consumers
+/// (`low3.even`, `low3.odd`) from one marshalled frame.
+TEST(AllocFree, EegGumstixStyleInt16CutIsAllocationFree) {
+  EegConfig cfg;
+  cfg.channels = 3;
+  cfg.window_samples = 256;
+  apps::EegApp app = apps::build_eeg_app(cfg);
+  const auto traces = apps::eeg_traces(app, 130);
+
+  std::vector<Side> sides(app.g.num_operators(), Side::kServer);
+  for (std::size_t ch = 0; ch < cfg.channels; ++ch) {
+    const OperatorId last =
+        app.g.find("ch" + std::to_string(ch) + ".low2.add");
+    sides[last] = Side::kNode;
+    for (OperatorId v : app.g.ancestors(last)) sides[v] = Side::kNode;
+  }
+  PartitionedExecutor ex(app.g, sides);
+  ex.set_collect_sink_output(false);
+  ex.run(traces, 30);
+  ASSERT_GT(ex.stats().cut_frames, 0u);
+  // 256 samples halved twice, two bytes each: the cut edge is int16.
+  EXPECT_EQ(ex.stats().cut_payload_bytes,
+            ex.stats().cut_frames * (5u + 2u * 64u));
+
+  expect_steady_state(ex, traces);
 }
 
 /// Collecting sink output allocates (by design); streaming mode is the

@@ -68,6 +68,50 @@ TEST(Executor, LossHookDropsFrames) {
   EXPECT_EQ(ex.stats().cut_frames_lost, 5u);
 }
 
+// A frame fanning out to two cut edges is marshalled once, but a local
+// consumer between them may send its own frame across the cut first:
+// the second cut edge must still carry the original frame's samples.
+TEST(Executor, CutFanOutAroundLocalConsumerDeliversOriginalFrame) {
+  using graph::Context;
+  using graph::Encoding;
+  graph::GraphBuilder b;
+  graph::Stream a, shifted;
+  {
+    auto node = b.node_scope();
+    a = b.stateless("a", b.source("src", nullptr),
+                    graph::make_stateless([](const Frame& f, Context& c) {
+                      c.emit(Frame(f.samples(), Encoding::kFloat32));
+                    }));
+  }
+  const OperatorId first = b.sink("first", a);
+  {
+    auto node = b.node_scope();
+    shifted = b.stateless(
+        "shift", a, graph::make_stateless([](const Frame& f, Context& c) {
+          std::vector<float> out(f.samples());
+          for (float& x : out) x += 1000.0f;
+          c.emit(Frame(std::move(out), Encoding::kFloat32));
+        }));
+  }
+  const OperatorId shifted_sink = b.sink("shifted", shifted);
+  const OperatorId second = b.sink("second", a);
+  graph::Graph g = b.build();
+
+  std::vector<Side> sides(g.num_operators(), Side::kServer);
+  for (const char* name : {"src", "a", "shift"}) sides[g.find(name)] = Side::kNode;
+  PartitionedExecutor ex(g, sides);
+  std::map<OperatorId, std::vector<Frame>> traces;
+  traces[g.find("src")] = wbtest::int_frames(3, 8);
+  const auto out = ex.run(traces, 3);
+  EXPECT_EQ(ex.stats().cut_frames, 9u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::vector<float>& want = traces[g.find("src")][i].samples();
+    EXPECT_EQ(out.at(first)[i].samples(), want);
+    EXPECT_EQ(out.at(second)[i].samples(), want);
+    EXPECT_EQ(out.at(shifted_sink)[i][0], want[0] + 1000.0f);
+  }
+}
+
 // The repartitioning-correctness property Wishbone relies on: every
 // cut of the (stateless-after-source) speech pipeline computes the
 // same answer, bit-for-bit at the sink, as long as nothing is lost.

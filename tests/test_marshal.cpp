@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "runtime/marshal.hpp"
 #include "util/assert.hpp"
@@ -104,4 +107,73 @@ TEST(Marshal, RandomizedRoundTripProperty) {
       EXPECT_FLOAT_EQ(back[i], f[i]);
     }
   }
+}
+
+// The `_into` forms are the one encoder/decoder; the allocating API must
+// agree with them byte for byte, whatever the reused buffer held before.
+TEST(MarshalInto, MatchesMarshalOnReusedDirtyBuffer) {
+  std::mt19937 rng(17);
+  std::uniform_real_distribution<float> u(-1000.0f, 1000.0f);
+  std::uniform_int_distribution<std::size_t> len(0, 600);
+  // Dirty and larger than any frame below needs.
+  std::vector<std::uint8_t> wire(5 + 4 * 700, 0xAB);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<float> s(len(rng));
+    for (auto& x : s) x = std::nearbyint(u(rng));
+    const Encoding enc = trial % 2 ? Encoding::kInt16 : Encoding::kFloat32;
+    const Frame f(s, enc);
+    marshal_into(f, wire);
+    EXPECT_EQ(wire, marshal(f)) << "trial " << trial;
+  }
+}
+
+TEST(UnmarshalInto, ReusesLargerBufferAndMatchesUnmarshal) {
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<float> u(-40000.0f, 40000.0f);
+  std::uniform_int_distribution<std::size_t> len(0, 300);
+  std::vector<float> samples(1000, -7.0f);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<float> s(len(rng));
+    for (auto& x : s) x = u(rng);  // fractional and out of int16 range
+    const Encoding enc = trial % 2 ? Encoding::kInt16 : Encoding::kFloat32;
+    const std::vector<std::uint8_t> wire = marshal(Frame(s, enc));
+    const Frame want = unmarshal(wire);
+    const float* storage = samples.data();
+    EXPECT_EQ(unmarshal_into(wire, samples), want.encoding());
+    EXPECT_EQ(samples.data(), storage);  // capacity reused, no realloc
+    ASSERT_EQ(samples.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(samples[i], want[i]);  // bit-exact
+    }
+  }
+}
+
+TEST(UnmarshalInto, RejectsWhateverUnmarshalRejects) {
+  constexpr auto kI16 = static_cast<std::uint8_t>(Encoding::kInt16);
+  constexpr auto kF32 = static_cast<std::uint8_t>(Encoding::kFloat32);
+  const std::vector<std::vector<std::uint8_t>> malformed = {
+      {},                          // empty
+      {1, 2, 3},                   // short header
+      {4, 0, 0, 0, kI16},          // 4 samples claimed, no payload
+      {0, 0, 0, 0, 77},            // unknown encoding
+      {1, 0, 0, 0, kF32, 1, 2},    // truncated payload
+      {0, 0, 0, 0, kI16, 9},       // trailing byte
+  };
+  for (const auto& bytes : malformed) {
+    EXPECT_THROW((void)unmarshal(bytes), ContractError);
+    std::vector<float> samples(3, 1.5f);
+    EXPECT_THROW((void)unmarshal_into(bytes, samples), ContractError);
+    EXPECT_EQ(samples, std::vector<float>(3, 1.5f));  // left untouched
+  }
+}
+
+TEST(Packetize, PacketCountIsClosedFormOfPacketize) {
+  for (std::size_t b = 0; b <= 300; ++b) {
+    for (std::size_t p = 1; p <= 64; ++p) {
+      ASSERT_EQ(packet_count(b, p),
+                packetize(std::vector<std::uint8_t>(b), p).size())
+          << "bytes " << b << " payload " << p;
+    }
+  }
+  EXPECT_THROW((void)packet_count(10, 0), ContractError);
 }
