@@ -2,7 +2,8 @@
 """Validate a Prometheus text exposition emitted by the obs registry.
 
 Usage:
-    check_obs_export.py BENCH_serve_metrics.prom
+    check_obs_export.py BENCH_serve_metrics.prom [--expect-series FILE]
+    check_obs_export.py BENCH_serve_metrics.prom --list-series > FILE
 
 The serve bench writes the process-wide registry as Prometheus text
 (v0.0.4) next to BENCH_serve.json; this script is the CI gate that the
@@ -18,10 +19,16 @@ export stays parseable and semantically sane:
    `_count`, and `_sum`/`_count` are present for every label set.
 4. Naming convention: every wishbone-owned family starts with
    `wishbone_<layer>_...` (bench-local series use wishbone_bench_).
+5. With --expect-series FILE: the set of exported series — sample name
+   plus labels, with histogram buckets compared by name only (the `le`
+   label is dropped) — equals the list in FILE, one series per line.
+   bench/results/obs_series_serve.txt pins the bench_serve_fleet export;
+   --list-series prints a file's set in that format.
 
 Exits non-zero listing every violation (the repo's check_* convention).
 """
 
+import argparse
 import math
 import re
 import sys
@@ -40,11 +47,24 @@ def parse_value(s):
     return float(s)
 
 
+def series_key(name, labels):
+    """`name{k="v",...}` with sorted labels, `le` dropped."""
+    pairs = sorted((k, v) for k, v in labels.items() if k != "le")
+    if not pairs:
+        return name
+    return name + "{" + ",".join(f'{k}="{v}"' for k, v in pairs) + "}"
+
+
 def main():
-    if len(sys.argv) != 2:
-        print(__doc__)
-        return 2
-    path = sys.argv[1]
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("prom", help="Prometheus text exposition to validate")
+    ap.add_argument("--expect-series", metavar="FILE",
+                    help="fail unless the exported series equal FILE's list")
+    ap.add_argument("--list-series", action="store_true",
+                    help="print the exported series, one per line, and exit")
+    args = ap.parse_args()
+    path = args.prom
     with open(path) as f:
         lines = f.read().splitlines()
 
@@ -90,6 +110,18 @@ def main():
 
     if not samples:
         failures.append("no samples at all — empty or truncated export")
+
+    exported = {series_key(name, labels) for name, labels, _, _ in samples}
+    if args.list_series:
+        print("\n".join(sorted(exported)))
+        return 0
+    if args.expect_series:
+        with open(args.expect_series) as f:
+            expected = {line.strip() for line in f if line.strip()}
+        for s in sorted(expected - exported):
+            failures.append(f"series missing from the export: {s}")
+        for s in sorted(exported - expected):
+            failures.append(f"series not in {args.expect_series}: {s}")
 
     # ---- typing: every sample belongs to a declared family ----------
     def family_of(name):
@@ -163,7 +195,8 @@ def main():
         return 1
     n_hist = sum(1 for k in types.values() if k == "histogram")
     print(f"obs export OK: {path} — {len(types)} families "
-          f"({n_hist} histograms), {len(samples)} samples")
+          f"({n_hist} histograms), {len(samples)} samples, "
+          f"{len(exported)} series")
     return 0
 
 

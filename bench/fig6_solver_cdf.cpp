@@ -156,11 +156,7 @@ int main(int argc, char** argv) {
   std::size_t eta_len_peak = 0;
   std::size_t total_steals = 0;
   std::size_t total_reloads = 0;
-  std::size_t total_dual_reentries = 0;
-  std::size_t total_phase1_reentries = 0;
-  std::size_t total_fallbacks = 0;
-  std::size_t total_primal_pivots = 0;
-  std::size_t total_dual_pivots = 0;
+  ilp::SimplexTelemetry total_simplex;
   std::size_t threads_used = threads;
   double total_idle_s = 0.0;
   const char* engine_ran = ilp::engine_name(engine);
@@ -210,13 +206,10 @@ int main(int argc, char** argv) {
     point_reloads.push_back(static_cast<double>(r.solver.snapshot_reloads));
     point_idle.push_back(r.solver.idle_s_total);
     point_dual_reentries.push_back(
-        static_cast<double>(r.solver.dual_reentries));
-    point_fallbacks.push_back(static_cast<double>(r.solver.phase1_fallbacks));
-    total_dual_reentries += r.solver.dual_reentries;
-    total_phase1_reentries += r.solver.phase1_reentries;
-    total_fallbacks += r.solver.phase1_fallbacks;
-    total_primal_pivots += r.solver.primal_pivots;
-    total_dual_pivots += r.solver.dual_pivots;
+        static_cast<double>(r.solver.simplex.dual_reentries));
+    point_fallbacks.push_back(
+        static_cast<double>(r.solver.simplex.phase1_fallbacks));
+    total_simplex += r.solver.simplex;
     total_steals += r.solver.steals;
     total_reloads += r.solver.snapshot_reloads;
     total_idle_s += r.solver.idle_s_total;
@@ -285,8 +278,9 @@ int main(int argc, char** argv) {
               "phase-1 re-entries, %zu phase-1 fallbacks; pivots %zu "
               "primal / %zu dual\n",
               ilp::reentry_name(reentry), ilp::pricing_name(pricing),
-              total_dual_reentries, total_phase1_reentries, total_fallbacks,
-              total_primal_pivots, total_dual_pivots);
+              total_simplex.dual_reentries, total_simplex.phase1_reentries,
+              total_simplex.phase1_fallbacks, total_simplex.primal_pivots,
+              total_simplex.dual_pivots);
   if (threads_used > 1) {
     std::printf("parallel search: %zu steals, %zu snapshot reloads, "
                 "%.2f s summed worker idle\n",
@@ -313,11 +307,11 @@ int main(int argc, char** argv) {
   j.set("total_basis_refactorizations", total_refacs);
   j.set("total_eta_updates", total_etas);
   j.set("eta_len_peak", eta_len_peak);
-  j.set("total_dual_reentries", total_dual_reentries);
-  j.set("total_phase1_reentries", total_phase1_reentries);
-  j.set("total_phase1_fallbacks", total_fallbacks);
-  j.set("total_primal_pivots", total_primal_pivots);
-  j.set("total_dual_pivots", total_dual_pivots);
+  j.set("total_dual_reentries", total_simplex.dual_reentries);
+  j.set("total_phase1_reentries", total_simplex.phase1_reentries);
+  j.set("total_phase1_fallbacks", total_simplex.phase1_fallbacks);
+  j.set("total_primal_pivots", total_simplex.primal_pivots);
+  j.set("total_dual_pivots", total_simplex.dual_pivots);
   j.set("total_steals", total_steals);
   j.set("total_snapshot_reloads", total_reloads);
   j.set("total_idle_s", total_idle_s);

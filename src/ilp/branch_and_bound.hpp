@@ -154,18 +154,11 @@ struct MipResult {
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
   /// Re-entry / pricing telemetry summed over every worker's
-  /// SimplexState (see SimplexTelemetry): how node re-solves restored
-  /// feasibility (dual simplex vs composite phase 1), how often a
-  /// dual-mode solve had to fall back, and pivot counts attributed to
-  /// the pricing rule that chose them.
-  std::size_t dual_reentries = 0;
-  std::size_t phase1_reentries = 0;
-  std::size_t phase1_fallbacks = 0;
-  std::size_t primal_pivots = 0;
-  std::size_t dual_pivots = 0;
-  std::size_t pivots_dantzig = 0;
-  std::size_t pivots_devex = 0;
-  std::size_t pivots_dse = 0;
+  /// SimplexState: how node re-solves restored feasibility (dual
+  /// simplex vs composite phase 1), how often a dual-mode solve had to
+  /// fall back, and pivot counts attributed to the pricing rule that
+  /// chose them.
+  SimplexTelemetry simplex;
 
   /// Parallel-search telemetry: the worker count the solve actually ran
   /// with (MipOptions::threads == 0 resolved), one entry per worker,

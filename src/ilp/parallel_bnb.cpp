@@ -215,14 +215,7 @@ class Search {
       res.basis_refactorizations += e.refactorizations;
       res.eta_updates += e.eta_updates;
       res.eta_len_peak = std::max(res.eta_len_peak, e.eta_len_peak);
-      res.dual_reentries += e.tel.dual_reentries;
-      res.phase1_reentries += e.tel.phase1_reentries;
-      res.phase1_fallbacks += e.tel.phase1_fallbacks;
-      res.primal_pivots += e.tel.primal_pivots;
-      res.dual_pivots += e.tel.dual_pivots;
-      res.pivots_dantzig += e.tel.pivots_dantzig;
-      res.pivots_devex += e.tel.pivots_devex;
-      res.pivots_dse += e.tel.pivots_dse;
+      res.simplex += e.tel;
     }
 
     // Proven lower bound: the least bound among unexplored nodes (no
@@ -285,12 +278,12 @@ class Search {
     reloads->inc(res.snapshot_reloads);
     refactors->inc(res.basis_refactorizations);
     if (res.warm_basis_rejected) warm_rejected->inc();
-    reentries_dual->inc(res.dual_reentries);
-    reentries_phase1->inc(res.phase1_reentries);
-    fallbacks->inc(res.phase1_fallbacks);
-    pivots_dantzig->inc(res.pivots_dantzig);
-    pivots_devex->inc(res.pivots_devex);
-    pivots_dse->inc(res.pivots_dse);
+    reentries_dual->inc(res.simplex.dual_reentries);
+    reentries_phase1->inc(res.simplex.phase1_reentries);
+    fallbacks->inc(res.simplex.phase1_fallbacks);
+    pivots_dantzig->inc(res.simplex.pivots_dantzig);
+    pivots_devex->inc(res.simplex.pivots_devex);
+    pivots_dse->inc(res.simplex.pivots_dse);
   }
 
   /// Worker-private solving context: the whole point of the design is

@@ -108,6 +108,18 @@ struct SimplexTelemetry {
   std::size_t pivots_dantzig = 0;    ///< pivots attributed per rule
   std::size_t pivots_devex = 0;
   std::size_t pivots_dse = 0;
+
+  SimplexTelemetry& operator+=(const SimplexTelemetry& o) {
+    dual_reentries += o.dual_reentries;
+    phase1_reentries += o.phase1_reentries;
+    phase1_fallbacks += o.phase1_fallbacks;
+    primal_pivots += o.primal_pivots;
+    dual_pivots += o.dual_pivots;
+    pivots_dantzig += o.pivots_dantzig;
+    pivots_devex += o.pivots_devex;
+    pivots_dse += o.pivots_dse;
+    return *this;
+  }
 };
 
 struct SimplexOptions {

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -14,10 +15,9 @@ namespace wishbone::obs {
 // Counter
 
 std::size_t Counter::shard_index() {
-  // Hash the thread id once per call; collisions only cost some shard
-  // sharing, never correctness. thread_local caching would be faster
-  // still, but hashing an id is already a handful of instructions and
-  // keeps the counter trivially usable from detached contexts.
+  // Each thread hashes its id once and keeps the shard in a
+  // thread_local; collisions only cost some shard sharing, never
+  // correctness.
   static thread_local const std::size_t idx =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
   return idx;
@@ -164,6 +164,24 @@ Histogram* Registry::histogram(const std::string& name, Labels labels,
   return e->hist.get();
 }
 
+void Registry::attach(const Counter* c, const std::string& name,
+                      const Labels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry* e = find_or_add(name, labels, MetricSample::Kind::kCounter);
+  if (!e->counter) e->counter = std::make_unique<Counter>();
+  e->instances.push_back(c);
+}
+
+void Registry::detach(const Counter* c) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& e : entries_) {
+    auto it = std::find(e->instances.begin(), e->instances.end(), c);
+    if (it == e->instances.end()) continue;
+    e->counter->inc(c->value());
+    e->instances.erase(it);
+  }
+}
+
 std::vector<MetricSample> Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricSample> out;
@@ -176,6 +194,8 @@ std::vector<MetricSample> Registry::snapshot() const {
     switch (e->kind) {
       case MetricSample::Kind::kCounter:
         s.value = static_cast<double>(e->counter->value());
+        for (const Counter* c : e->instances)
+          s.value += static_cast<double>(c->value());
         break;
       case MetricSample::Kind::kGauge:
         s.value = e->gauge->value();
@@ -188,6 +208,19 @@ std::vector<MetricSample> Registry::snapshot() const {
   }
   return out;
 }
+
+// ---------------------------------------------------------------------------
+// InstanceCounter
+
+InstanceCounter::InstanceCounter(const std::string& name,
+                                 const Labels& labels, Registry& registry,
+                                 bool also_unlabeled)
+    : registry_(registry) {
+  if (also_unlabeled) registry_.attach(&counter_, name, {});
+  registry_.attach(&counter_, name, labels);
+}
+
+InstanceCounter::~InstanceCounter() { registry_.detach(&counter_); }
 
 namespace {
 

@@ -1,15 +1,11 @@
 // Process-wide metrics registry: the common model for every telemetry
-// counter in the stack.
-//
-// Before this layer, telemetry lived in per-component ad-hoc structs
-// (ServerStats, CacheStats, RepartitionerStats, MipResult worker
-// arrays, EpochStats) with no shared naming, no distributions and no
-// machine-readable export beyond hand-rolled bench JSON. The registry
-// gives every layer the same three instruments and two exporters:
+// counter in the stack. Every layer gets the same instruments and two
+// exporters:
 //
 //  - Counter: monotone, lock-free, sharded across cache lines so
 //    concurrent increments from the serve workers / B&B workers never
-//    bounce one hot line;
+//    bounce one hot line. Counts a component's stats() also reads live
+//    in InstanceCounters it owns, which the registry exports;
 //  - Gauge: last-written double (fleet goodput, divergence, queue
 //    depth);
 //  - Histogram: fixed log-scale buckets with atomic counts —
@@ -202,7 +198,8 @@ struct MetricSample {
 /// Re-registering the same (name, labels) returns the same instrument,
 /// so process-wide totals aggregate naturally across component
 /// instances. Components preregister at construction; hot paths never
-/// take the registry lock.
+/// take the registry lock. A counter series also sums the live
+/// InstanceCounters attached to it.
 class Registry {
  public:
   Registry() = default;
@@ -231,6 +228,8 @@ class Registry {
   [[nodiscard]] std::string json() const;
 
  private:
+  friend class InstanceCounter;
+
   struct Entry {
     std::string name;
     Labels labels;
@@ -238,14 +237,50 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> hist;
+    std::vector<const Counter*> instances;  ///< live attached counters
   };
 
   Entry* find_or_add(const std::string& name, const Labels& labels,
                      MetricSample::Kind kind);
+  /// Adds `c` to the (name, labels) counter series.
+  void attach(const Counter* c, const std::string& name,
+              const Labels& labels);
+  /// Removes `c` from every series it is attached to, folding its final
+  /// value into each series' own counter.
+  void detach(const Counter* c);
 
   mutable std::mutex mu_;
   /// deque semantics via stable unique_ptrs inside a vector.
   std::vector<std::unique_ptr<Entry>> entries_;
+};
+
+// ---------------------------------------------------------------------------
+// InstanceCounter
+
+/// A counter owned by one component instance (a server, a cache, a
+/// control loop) and exported through a Registry under (name, labels),
+/// so the instance's stats() and the export read one storage location.
+/// inc() touches only the member. The destructor folds the final value
+/// into the registry's counter, so process totals stay monotone as
+/// instances come and go. The registry must outlive the instance.
+class InstanceCounter {
+ public:
+  /// `also_unlabeled`: export under the unlabeled (name) series too —
+  /// a per-reason counter that adds into its family's total.
+  explicit InstanceCounter(const std::string& name, const Labels& labels = {},
+                           Registry& registry = Registry::global(),
+                           bool also_unlabeled = false);
+  ~InstanceCounter();
+
+  InstanceCounter(const InstanceCounter&) = delete;
+  InstanceCounter& operator=(const InstanceCounter&) = delete;
+
+  void inc(std::uint64_t n = 1) { counter_.inc(n); }
+  [[nodiscard]] std::uint64_t value() const { return counter_.value(); }
+
+ private:
+  Counter counter_;
+  Registry& registry_;
 };
 
 }  // namespace wishbone::obs

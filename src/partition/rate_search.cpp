@@ -33,14 +33,6 @@ RateSearchResult max_sustainable_rate(
     }
     res.total_bnb_nodes += r.solver.nodes_explored;
     res.total_lp_iterations += r.solver.lp_iterations;
-    res.total_basis_refactorizations += r.solver.basis_refactorizations;
-    res.total_eta_updates += r.solver.eta_updates;
-    res.total_steals += r.solver.steals;
-    res.total_snapshot_reloads += r.solver.snapshot_reloads;
-    res.total_idle_s += r.solver.idle_s_total;
-    res.total_dual_reentries += r.solver.dual_reentries;
-    res.total_phase1_reentries += r.solver.phase1_reentries;
-    res.total_phase1_fallbacks += r.solver.phase1_fallbacks;
     if (r.solver.warm_basis_loaded) ++res.probes_with_inherited_basis;
     if (r.solver.warm_basis_rejected) ++res.probes_with_rejected_basis;
     return r;

@@ -27,12 +27,9 @@ struct RateSearchResult {
   std::size_t partitions_solved = 0;
 
   // Solver totals across *all* probes (partition_at_max only carries
-  // the winning probe's): how much LP work the whole search cost and
-  // how the basis engine amortized it over the threaded bases.
+  // the winning probe's): how much LP work the whole search cost.
   std::size_t total_bnb_nodes = 0;
   std::size_t total_lp_iterations = 0;
-  std::size_t total_basis_refactorizations = 0;
-  std::size_t total_eta_updates = 0;
   /// Probes whose inherited basis actually factorized and was used
   /// (shape mismatches and singular inherits fall back cold).
   std::size_t probes_with_inherited_basis = 0;
@@ -42,17 +39,6 @@ struct RateSearchResult {
   /// probes cold-start — the stale-basis compatibility check in
   /// Basis::compatible_with / SimplexState::load_basis at work.
   std::size_t probes_with_rejected_basis = 0;
-  // Parallel-search totals across all probes (opts.partition.mip.threads
-  // picks the worker count per solve; see MipOptions::threads).
-  std::size_t total_steals = 0;
-  std::size_t total_snapshot_reloads = 0;
-  double total_idle_s = 0.0;
-  // Re-entry totals across all probes: how node re-solves restored
-  // primal feasibility when opts.partition.mip.lp.reentry selects the
-  // dual simplex (ReentryKind::kDual) for the warm probe chain.
-  std::size_t total_dual_reentries = 0;
-  std::size_t total_phase1_reentries = 0;
-  std::size_t total_phase1_fallbacks = 0;
 };
 
 /// `problem_at(rate)` must build the partition problem for a given

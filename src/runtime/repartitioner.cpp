@@ -6,18 +6,13 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "partition/baselines.hpp"
 #include "util/assert.hpp"
+#include "util/stopwatch.hpp"
 
 namespace wishbone::runtime {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 const char* plan_source_name(PlanSource s) {
   switch (s) {
@@ -29,6 +24,18 @@ const char* plan_source_name(PlanSource s) {
       return "baseline";
   }
   return "?";
+}
+
+/// Counts one event on `c`, attaching it to the registry under
+/// (name, labels) on first use.
+void count(std::optional<obs::InstanceCounter>& c, const char* name,
+           const obs::Labels& labels = {}) {
+  if (!c) c.emplace(name, labels);
+  c->inc();
+}
+
+std::size_t read(const std::optional<obs::InstanceCounter>& c) {
+  return c ? c->value() : 0;
 }
 
 }  // namespace
@@ -78,7 +85,7 @@ std::vector<RepartitionDecision> Repartitioner::install_initial_plans() {
 
 std::vector<RepartitionDecision> Repartitioner::on_epoch(
     const EpochStats& epoch) {
-  ++stats_.checks;
+  ++checks_;
   const double divergence =
       std::abs(epoch.goodput - epoch.predicted_goodput) /
       std::max(epoch.predicted_goodput, 1e-9);
@@ -98,8 +105,7 @@ std::vector<RepartitionDecision> Repartitioner::on_epoch(
   }
   diverged_ = true;
 
-  ++stats_.triggers;
-  obs::Registry::global().counter("wishbone_repartitioner_triggers")->inc();
+  count(triggers_, "wishbone_repartitioner_triggers");
   if (recorder_ != nullptr) {
     recorder_->trigger(static_cast<double>(epoch.epoch), "divergence",
                        "divergence=" + std::to_string(divergence));
@@ -110,32 +116,27 @@ std::vector<RepartitionDecision> Repartitioner::on_epoch(
 }
 
 void Repartitioner::count_failure(ReplanFailure reason) {
-  switch (reason) {
-    case ReplanFailure::kNone:
-      return;
-    case ReplanFailure::kPumpStalled:
-      ++stats_.failed_pump_stalled;
-      break;
-    case ReplanFailure::kDeadline:
-      ++stats_.failed_deadline;
-      break;
-    case ReplanFailure::kShutdown:
-      ++stats_.failed_shutdown;
-      break;
-    case ReplanFailure::kExpired:
-      ++stats_.failed_expired;
-      break;
-    case ReplanFailure::kInfeasible:
-      ++stats_.failed_infeasible;
-      break;
-  }
-  ++stats_.failed_attempts;
-  // Control-loop rate, so the registry lookup (one mutex + scan) is
-  // fine here — no preregistration needed.
-  obs::Registry::global()
-      .counter("wishbone_repartitioner_failed_attempts",
-               {{"reason", to_string(reason)}})
-      ->inc();
+  if (reason == ReplanFailure::kNone) return;
+  count(failures_[static_cast<int>(reason) - 1],
+        "wishbone_repartitioner_failed_attempts",
+        {{"reason", to_string(reason)}});
+}
+
+RepartitionerStats Repartitioner::stats() const {
+  // rungs_ is in PlanSource order, failures_ in ReplanFailure order.
+  RepartitionerStats s{.checks = checks_,
+                       .triggers = read(triggers_),
+                       .fresh_solves = read(rungs_[0]),
+                       .stale_served = read(rungs_[1]),
+                       .baseline_served = read(rungs_[2]),
+                       .retries = retries_,
+                       .failed_pump_stalled = read(failures_[0]),
+                       .failed_deadline = read(failures_[1]),
+                       .failed_shutdown = read(failures_[2]),
+                       .failed_expired = read(failures_[3]),
+                       .failed_infeasible = read(failures_[4])};
+  for (const auto& f : failures_) s.failed_attempts += read(f);
+  return s;
 }
 
 std::vector<RepartitionDecision> Repartitioner::replan_all() {
@@ -143,11 +144,9 @@ std::vector<RepartitionDecision> Repartitioner::replan_all() {
   out.reserve(fleet_.num_classes());
   for (std::size_t c = 0; c < fleet_.num_classes(); ++c) {
     RepartitionDecision d = replan_class(c);
-    obs::Registry::global()
-        .counter("wishbone_repartitioner_rungs",
-                 {{"rung", plan_source_name(d.source)}})
-        ->inc();
     const int cur = static_cast<int>(d.source);
+    count(rungs_[cur], "wishbone_repartitioner_rungs",
+          {{"rung", plan_source_name(d.source)}});
     if (prev_source_[c] >= 0 && prev_source_[c] != cur &&
         recorder_ != nullptr) {
       recorder_->trigger(
@@ -164,7 +163,7 @@ std::vector<RepartitionDecision> Repartitioner::replan_all() {
 }
 
 RepartitionDecision Repartitioner::replan_class(std::size_t cls) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const util::Stopwatch timer;
   RepartitionDecision d;
   d.node_class = cls;
 
@@ -175,7 +174,7 @@ RepartitionDecision Repartitioner::replan_class(std::size_t cls) {
   double backoff_s = cfg_.backoff_initial_s;
   for (std::size_t attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
     if (attempt > 0) {
-      ++stats_.retries;
+      ++retries_;
       if (!cfg_.pump_server) {
         // Exponential backoff with seeded jitter so a thundering herd
         // of control loops desynchronizes instead of re-colliding.
@@ -234,11 +233,10 @@ RepartitionDecision Repartitioner::replan_class(std::size_t cls) {
     last_good_[cls].sides = resp.result->sides;
     last_good_[cls].epoch = fleet_.current_epoch();
     last_good_[cls].valid = true;
-    ++stats_.fresh_solves;
     d.source = PlanSource::kFresh;
     d.cache_hit = resp.source == serve::ResponseSource::kCacheHit;
     d.last_failure = ReplanFailure::kNone;  // earlier retries don't count
-    d.latency_s = seconds_since(t0);
+    d.latency_s = timer.elapsed_seconds();
     return d;
   }
 
@@ -250,9 +248,8 @@ RepartitionDecision Repartitioner::replan_class(std::size_t cls) {
           cfg_.stale_max_epochs) {
     fleet_.set_assignment(cls, last_good_[cls].sides, planned_cpu,
                           planned_quality);
-    ++stats_.stale_served;
     d.source = PlanSource::kStale;
-    d.latency_s = seconds_since(t0);
+    d.latency_s = timer.elapsed_seconds();
     return d;
   }
 
@@ -261,9 +258,8 @@ RepartitionDecision Repartitioner::replan_class(std::size_t cls) {
       partition::server_baseline(fleet_.base_problem());
   fleet_.set_assignment(cls, std::move(base.sides), planned_cpu,
                         planned_quality);
-  ++stats_.baseline_served;
   d.source = PlanSource::kBaseline;
-  d.latency_s = seconds_since(t0);
+  d.latency_s = timer.elapsed_seconds();
   return d;
 }
 

@@ -29,10 +29,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/stochastic.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/fleet_sim.hpp"
 #include "serve/server.hpp"
 
@@ -102,6 +104,10 @@ struct RepartitionDecision {
   ReplanFailure last_failure = ReplanFailure::kNone;
 };
 
+/// A reading of a Repartitioner's counters. triggers reads its
+/// wishbone_repartitioner_triggers counter, the rung fields its
+/// wishbone_repartitioner_rungs{rung=...} counters and the failed_*
+/// fields its wishbone_repartitioner_failed_attempts{reason=...} ones.
 struct RepartitionerStats {
   std::size_t checks = 0;           ///< epochs inspected
   std::size_t triggers = 0;         ///< rounds that re-planned
@@ -110,8 +116,6 @@ struct RepartitionerStats {
   std::size_t baseline_served = 0;  ///< rung-3 outcomes
   std::size_t retries = 0;          ///< extra solver attempts
   std::size_t failed_attempts = 0;  ///< sum of the per-reason counts
-  // Per-reason breakdown of failed_attempts (also published as the
-  // labeled counter wishbone_repartitioner_failed_attempts{reason=...}).
   std::size_t failed_pump_stalled = 0;
   std::size_t failed_deadline = 0;
   std::size_t failed_shutdown = 0;
@@ -135,7 +139,7 @@ class Repartitioner {
   std::vector<RepartitionDecision> on_epoch(const EpochStats& epoch);
 
   [[nodiscard]] bool diverged() const { return diverged_; }
-  [[nodiscard]] const RepartitionerStats& stats() const { return stats_; }
+  [[nodiscard]] RepartitionerStats stats() const;
   [[nodiscard]] const RepartitionerConfig& config() const { return cfg_; }
 
   /// Attaches a flight recorder (not owned; nullptr detaches). The
@@ -150,8 +154,9 @@ class Repartitioner {
   /// Walks the ladder for one class and installs the result.
   RepartitionDecision replan_class(std::size_t cls);
   std::vector<RepartitionDecision> replan_all();
-  /// Counts one failed rung-1 attempt under its reason (struct view +
-  /// labeled registry counter).
+  /// Counts one failed rung-1 attempt on its
+  /// wishbone_repartitioner_failed_attempts{reason=...} counter
+  /// (kNone counts nothing).
   void count_failure(ReplanFailure reason);
 
   serve::PartitionServer& server_;
@@ -169,7 +174,14 @@ class Repartitioner {
   bool diverged_ = false;
   std::size_t last_replan_epoch_ = 0;
   bool replanned_once_ = false;
-  RepartitionerStats stats_;
+
+  // Counters. The exported ones attach to the global registry when they
+  // first move, so a run exports the series its events produced.
+  std::size_t checks_ = 0;
+  std::size_t retries_ = 0;
+  std::optional<obs::InstanceCounter> triggers_;
+  std::optional<obs::InstanceCounter> rungs_[3];     ///< by PlanSource
+  std::optional<obs::InstanceCounter> failures_[5];  ///< by ReplanFailure-1
 
   obs::FlightRecorder* recorder_ = nullptr;
   /// Previous round's rung per class (-1 = no round yet), for

@@ -4,75 +4,14 @@
 #include <utility>
 
 #include "ilp/simplex.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/graph_hash.hpp"
 #include "util/assert.hpp"
+#include "util/stopwatch.hpp"
 
 namespace wishbone::serve {
 
 namespace {
-
-/// Registry instruments, resolved once per process (preregistration:
-/// the serve hot path only touches these pointers). Dual-write with
-/// the per-server ServerStats struct, which stays the authoritative
-/// per-instance view for existing callers and tests.
-struct ServeMetrics {
-  obs::Counter* requests;
-  obs::Counter* cache_hits;
-  obs::Counter* coalesced;
-  obs::Counter* solves;
-  obs::Counter* stale_resolves;
-  obs::Counter* warm_basis_used;
-  obs::Counter* warm_basis_rejected;
-  /// warm_basis_rejected broken out by ilp::BasisRejectReason, indexed
-  /// by the enum value (kNone unused — a loaded basis increments
-  /// nothing here). The unlabeled counter above stays the total.
-  obs::Counter* warm_basis_rejected_by[5];
-  obs::Counter* rejected;
-  obs::Counter* shutdown_flushed;
-  obs::Counter* submit_timeouts;
-  obs::Counter* deadline_expired;
-  obs::Counter* shed_solves;
-  obs::Gauge* queue_depth;
-  obs::Histogram* solve_seconds;
-
-  static const ServeMetrics& get() {
-    static const ServeMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      ServeMetrics x;
-      x.requests = r.counter("wishbone_serve_requests");
-      x.cache_hits = r.counter("wishbone_serve_cache_hits");
-      x.coalesced = r.counter("wishbone_serve_coalesced");
-      x.solves = r.counter("wishbone_serve_solves");
-      x.stale_resolves = r.counter("wishbone_serve_stale_resolves");
-      x.warm_basis_used = r.counter("wishbone_serve_warm_basis_used");
-      x.warm_basis_rejected = r.counter("wishbone_serve_warm_basis_rejected");
-      x.warm_basis_rejected_by[0] = nullptr;
-      for (int reason = 1; reason <= 4; ++reason) {
-        x.warm_basis_rejected_by[reason] =
-            r.counter("wishbone_serve_warm_basis_rejected",
-                      {{"reason", ilp::basis_reject_name(
-                                      static_cast<ilp::BasisRejectReason>(
-                                          reason))}});
-      }
-      x.rejected = r.counter("wishbone_serve_rejected");
-      x.shutdown_flushed = r.counter("wishbone_serve_shutdown_flushed");
-      x.submit_timeouts = r.counter("wishbone_serve_submit_timeouts");
-      x.deadline_expired = r.counter("wishbone_serve_deadline_expired");
-      x.shed_solves = r.counter("wishbone_serve_shed_solves");
-      x.queue_depth = r.gauge("wishbone_serve_queue_depth");
-      x.solve_seconds = r.histogram("wishbone_serve_solve_seconds");
-      return x;
-    }();
-    return m;
-  }
-};
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Terminal response with an infeasible placeholder result (the
 /// shutdown/expired paths — "never null" still holds).
@@ -85,6 +24,18 @@ SolveResponse terminal_response(ResponseSource source, CacheOutcome outcome) {
 }
 
 }  // namespace
+
+obs::InstanceCounter PartitionServer::reject_counter(
+    ilp::BasisRejectReason reason) {
+  // The unlabeled series is the sum of the shape and structure series:
+  // the donors the pre-flight check refused. Singular and bounds-
+  // revision load failures count only under their own reason.
+  return obs::InstanceCounter(
+      "wishbone_serve_warm_basis_rejected",
+      {{"reason", ilp::basis_reject_name(reason)}}, obs::Registry::global(),
+      reason == ilp::BasisRejectReason::kShape ||
+          reason == ilp::BasisRejectReason::kStructure);
+}
 
 /// One pending solve: the problem to run plus every promise waiting on
 /// it, each with its own admission-time deadline so a worker can shed
@@ -141,13 +92,13 @@ std::optional<std::future<SolveResponse>> PartitionServer::try_submit(
 
 std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
     SolveRequest req, bool block) {
-  const ServeMetrics& m = ServeMetrics::get();
   obs::Tracer& tracer = obs::Tracer::global();
   // Root span of the request: samples 1-in-N when tracing is enabled,
   // otherwise this is a single relaxed load and every span below it is
   // a no-op.
   obs::Span submit_span =
       tracer.span("serve.submit", tracer.maybe_start_trace());
+  requests_.inc();
 
   const bool has_deadline = req.deadline_s > 0.0;
   const auto deadline =
@@ -166,8 +117,6 @@ std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
-      ++stats_.requests;
-      m.requests->inc();
       done.set_value(
           terminal_response(ResponseSource::kShutdown, CacheOutcome::kMiss));
       return fut;
@@ -181,13 +130,7 @@ std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
       cache_.lookup(key, &outcome);
 
   if (cached) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.requests;
-      ++stats_.cache_hits;
-    }
-    m.requests->inc();
-    m.cache_hits->inc();
+    cache_hits_.inc();
     SolveResponse resp;
     resp.result = std::move(cached);
     resp.source = ResponseSource::kCacheHit;
@@ -197,8 +140,6 @@ std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
   }
 
   std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.requests;
-  m.requests->inc();
   for (;;) {
     if (stopping_) {
       lock.unlock();
@@ -209,8 +150,7 @@ std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
     // batch that appeared while we waited for queue space).
     auto it = inflight_.find(key);
     if (it != inflight_.end()) {
-      ++stats_.coalesced;
-      m.coalesced->inc();
+      coalesced_.inc();
       // Follower submits leave a zero-duration serve.coalesced marker on
       // the *leader's* trace, so a sampled trace shows how many requests
       // piled onto the in-flight solve and when each one attached.
@@ -227,8 +167,7 @@ std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
     }
     if (queue_.size() - queue_head_ < opts_.queue_capacity) break;
     if (!block) {
-      ++stats_.rejected;
-      m.rejected->inc();
+      rejected_.inc();
       return std::nullopt;
     }
     // Admission control under overload: wait for queue space, but only
@@ -236,8 +175,7 @@ std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
     // indefinitely on a saturated server.
     if (has_deadline) {
       if (space_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        ++stats_.submit_timeouts;
-        m.submit_timeouts->inc();
+        submit_timeouts_.inc();
         lock.unlock();
         done.set_value(terminal_response(ResponseSource::kExpired, outcome));
         return fut;
@@ -262,14 +200,13 @@ std::optional<std::future<SolveResponse>> PartitionServer::submit_impl(
   batch->waiters.push_back(std::move(w));
   inflight_.emplace(key, std::move(batch));
   queue_.push_back(std::move(key));
-  m.queue_depth->set(static_cast<double>(queue_.size() - queue_head_));
+  queue_depth_->set(static_cast<double>(queue_.size() - queue_head_));
   lock.unlock();
   work_cv_.notify_one();
   return fut;
 }
 
 bool PartitionServer::run_one() {
-  const ServeMetrics& m = ServeMetrics::get();
   obs::Tracer& tracer = obs::Tracer::global();
   const auto now = std::chrono::steady_clock::now();
   CacheKey key;
@@ -284,7 +221,7 @@ bool PartitionServer::run_one() {
       queue_.clear();
       queue_head_ = 0;
     }
-    m.queue_depth->set(static_cast<double>(queue_.size() - queue_head_));
+    queue_depth_->set(static_cast<double>(queue_.size() - queue_head_));
     auto it = inflight_.find(key);
     WB_ASSERT(it != inflight_.end());
     batch = it->second;
@@ -302,12 +239,10 @@ bool PartitionServer::run_one() {
       }
     }
     batch->waiters = std::move(live);
-    stats_.deadline_expired += expired.size();
-    m.deadline_expired->inc(expired.size());
+    deadline_expired_.inc(expired.size());
     if (batch->waiters.empty()) {
       inflight_.erase(it);
-      ++stats_.shed_solves;
-      m.shed_solves->inc();
+      shed_solves_.inc();
       shed = true;
     }
   }
@@ -342,36 +277,30 @@ bool PartitionServer::run_one() {
   obs::Span solve_span = tracer.span("serve.solve", queue_ctx);
   po.mip.trace = solve_span.context();
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const util::Stopwatch solve_clock;
   auto result = std::make_shared<const partition::PartitionResult>(
       partition::solve_partition(batch->problem, po));
-  const double solve_s = seconds_since(t0);
+  const double solve_s = solve_clock.elapsed_seconds();
   solve_span.finish();
-  m.solve_seconds->record(solve_s);
+  solve_seconds_->record(solve_s);
 
   // Publish to the cache *before* retiring the in-flight entry so a
   // concurrent submit for this key finds one or the other (a request in
   // between would re-solve needlessly, never incorrectly).
   cache_.insert(key, result);
 
+  solves_.inc();
+  if (batch->outcome == CacheOutcome::kStale) stale_resolves_.inc();
+  if (result->solver.warm_basis_loaded) warm_basis_used_.inc();
+  const ilp::BasisRejectReason reject = result->solver.warm_basis_reject_reason;
+  if (reject != ilp::BasisRejectReason::kNone)
+    warm_basis_rejected_[static_cast<int>(reject) - 1].inc();
+
   std::vector<Batch::Waiter> waiters;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.solves;
-    if (batch->outcome == CacheOutcome::kStale) ++stats_.stale_resolves;
-    if (result->solver.warm_basis_loaded) ++stats_.warm_basis_used;
-    if (result->solver.warm_basis_rejected) ++stats_.warm_basis_rejected;
     waiters = std::move(batch->waiters);
     inflight_.erase(key);
-  }
-  m.solves->inc();
-  if (batch->outcome == CacheOutcome::kStale) m.stale_resolves->inc();
-  if (result->solver.warm_basis_loaded) m.warm_basis_used->inc();
-  if (result->solver.warm_basis_rejected) m.warm_basis_rejected->inc();
-  {
-    const auto reason =
-        static_cast<int>(result->solver.warm_basis_reject_reason);
-    if (reason > 0 && reason <= 4) m.warm_basis_rejected_by[reason]->inc();
   }
 
   SolveResponse proto;
@@ -432,9 +361,8 @@ void PartitionServer::stop() {
     }
     queue_.clear();
     queue_head_ = 0;
-    stats_.shutdown_flushed += flushed.size();
-    ServeMetrics::get().shutdown_flushed->inc(flushed.size());
   }
+  shutdown_flushed_.inc(flushed.size());
   for (Batch::Waiter& w : flushed) {
     w.promise.set_value(
         terminal_response(ResponseSource::kShutdown, CacheOutcome::kMiss));
@@ -442,13 +370,20 @@ void PartitionServer::stop() {
 }
 
 ServerStats PartitionServer::stats() const {
-  ServerStats s;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s = stats_;
-  }
-  s.cache = cache_.stats();
-  return s;
+  return {.requests = requests_.value(),
+          .cache_hits = cache_hits_.value(),
+          .coalesced = coalesced_.value(),
+          .solves = solves_.value(),
+          .stale_resolves = stale_resolves_.value(),
+          .warm_basis_used = warm_basis_used_.value(),
+          .warm_basis_rejected = warm_basis_rejected_[0].value() +  // shape
+                                 warm_basis_rejected_[1].value(),   // structure
+          .rejected = rejected_.value(),
+          .shutdown_flushed = shutdown_flushed_.value(),
+          .submit_timeouts = submit_timeouts_.value(),
+          .deadline_expired = deadline_expired_.value(),
+          .shed_solves = shed_solves_.value(),
+          .cache = cache_.stats()};
 }
 
 }  // namespace wishbone::serve

@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/solve_cache.hpp"
 
 namespace wishbone::serve {
@@ -88,7 +89,7 @@ struct SolveResponse {
   double solve_s = 0.0;          ///< wall seconds inside solve_partition
 };
 
-/// Aggregate server counters (monotone since construction).
+/// A reading of the server's counters (monotone since construction).
 struct ServerStats {
   std::size_t requests = 0;
   std::size_t cache_hits = 0;
@@ -96,7 +97,7 @@ struct ServerStats {
   std::size_t solves = 0;
   std::size_t stale_resolves = 0;     ///< solves triggered by drift
   std::size_t warm_basis_used = 0;    ///< solves that loaded a donor basis
-  std::size_t warm_basis_rejected = 0;///< donors refused by the compat check
+  std::size_t warm_basis_rejected = 0;///< pre-flight: shape + structure
   std::size_t rejected = 0;           ///< try_submit failures (queue full)
   std::size_t shutdown_flushed = 0;   ///< queued jobs answered kShutdown
   std::size_t submit_timeouts = 0;    ///< blocked submits expired waiting
@@ -153,8 +154,36 @@ class PartitionServer {
   /// queue is full.
   std::optional<std::future<SolveResponse>> submit_impl(SolveRequest req,
                                                         bool block);
+  /// One labeled wishbone_serve_warm_basis_rejected series.
+  static obs::InstanceCounter reject_counter(ilp::BasisRejectReason reason);
 
   ServeOptions opts_;
+
+  // Counters: stats() reads them, the registry exports them. Declared
+  // before cache_ so the registry lists the serve series first.
+  obs::InstanceCounter requests_{"wishbone_serve_requests"};
+  obs::InstanceCounter cache_hits_{"wishbone_serve_cache_hits"};
+  obs::InstanceCounter coalesced_{"wishbone_serve_coalesced"};
+  obs::InstanceCounter solves_{"wishbone_serve_solves"};
+  obs::InstanceCounter stale_resolves_{"wishbone_serve_stale_resolves"};
+  obs::InstanceCounter warm_basis_used_{"wishbone_serve_warm_basis_used"};
+  /// Indexed by ilp::BasisRejectReason - 1 (kNone counts nothing).
+  obs::InstanceCounter warm_basis_rejected_[4] = {
+      reject_counter(ilp::BasisRejectReason::kShape),
+      reject_counter(ilp::BasisRejectReason::kStructure),
+      reject_counter(ilp::BasisRejectReason::kBoundsRevision),
+      reject_counter(ilp::BasisRejectReason::kSingular)};
+  obs::InstanceCounter rejected_{"wishbone_serve_rejected"};
+  obs::InstanceCounter shutdown_flushed_{"wishbone_serve_shutdown_flushed"};
+  obs::InstanceCounter submit_timeouts_{"wishbone_serve_submit_timeouts"};
+  obs::InstanceCounter deadline_expired_{"wishbone_serve_deadline_expired"};
+  obs::InstanceCounter shed_solves_{"wishbone_serve_shed_solves"};
+  // Process-wide, shared by all servers.
+  obs::Gauge* queue_depth_ =
+      obs::Registry::global().gauge("wishbone_serve_queue_depth");
+  obs::Histogram* solve_seconds_ =
+      obs::Registry::global().histogram("wishbone_serve_solve_seconds");
+
   SolveCache cache_;
 
   mutable std::mutex mu_;
@@ -165,9 +194,6 @@ class PartitionServer {
   std::unordered_map<CacheKey, std::shared_ptr<Batch>, CacheKeyHash>
       inflight_;
   bool stopping_ = false;
-
-  // Counters (under mu_).
-  ServerStats stats_;
 
   std::vector<std::thread> threads_;
 };

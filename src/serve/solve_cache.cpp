@@ -1,33 +1,11 @@
 #include "serve/solve_cache.hpp"
 
-#include "obs/metrics.hpp"
 #include "serve/graph_hash.hpp"
 #include "util/assert.hpp"
 
 namespace wishbone::serve {
 
 namespace {
-
-/// Registry counters, dual-written with the per-cache CacheStats view.
-struct CacheMetrics {
-  obs::Counter* hits;
-  obs::Counter* misses;
-  obs::Counter* stale;
-  obs::Counter* insertions;
-  obs::Counter* evictions;
-
-  static const CacheMetrics& get() {
-    static const CacheMetrics m = [] {
-      obs::Registry& r = obs::Registry::global();
-      return CacheMetrics{r.counter("wishbone_cache_hits"),
-                          r.counter("wishbone_cache_misses"),
-                          r.counter("wishbone_cache_stale"),
-                          r.counter("wishbone_cache_insertions"),
-                          r.counter("wishbone_cache_evictions")};
-    }();
-    return m;
-  }
-};
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -70,22 +48,19 @@ std::shared_ptr<const partition::PartitionResult> SolveCache::lookup(
   auto it = map_.find(key);
   if (it != map_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // promote, iterators stay
-    ++stats_.hits;
-    CacheMetrics::get().hits->inc();
+    hits_.inc();
     *outcome = CacheOutcome::kHit;
     return it->second->result;
   }
   auto pit = pairs_.find(pair_key(key.graph_hash, key.platform_id));
   const bool known_pair = pit != pairs_.end() && pit->second.entries > 0;
   if (known_pair) {
-    ++stats_.stale;
-    CacheMetrics::get().stale->inc();
+    stale_.inc();
     *outcome = CacheOutcome::kStale;
   } else {
     *outcome = CacheOutcome::kMiss;
   }
-  ++stats_.misses;
-  CacheMetrics::get().misses->inc();
+  misses_.inc();
   return nullptr;
 }
 
@@ -110,8 +85,7 @@ void SolveCache::insert(
   lru_.push_front(Entry{key, std::move(result)});
   map_.emplace(key, lru_.begin());
   ++pair.entries;
-  ++stats_.insertions;
-  CacheMetrics::get().insertions->inc();
+  insertions_.inc();
 
   while (lru_.size() > capacity_) {
     const Entry& victim = lru_.back();
@@ -124,8 +98,7 @@ void SolveCache::insert(
     --vp->second.entries;
     map_.erase(victim.key);
     lru_.pop_back();
-    ++stats_.evictions;
-    CacheMetrics::get().evictions->inc();
+    evictions_.inc();
   }
 }
 
@@ -139,9 +112,12 @@ ilp::Basis SolveCache::warm_basis_donor(std::uint64_t graph_hash,
 
 CacheStats SolveCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  CacheStats s = stats_;
-  s.entries = lru_.size();
-  return s;
+  return {.hits = hits_.value(),
+          .misses = misses_.value(),
+          .stale = stale_.value(),
+          .insertions = insertions_.value(),
+          .evictions = evictions_.value(),
+          .entries = lru_.size()};
 }
 
 }  // namespace wishbone::serve

@@ -17,7 +17,8 @@
 //    cold solve, never a garbage load.
 //
 // Thread safety: every public method is safe to call concurrently; one
-// mutex guards the map, the LRU list and the counters. Entries store
+// mutex guards the map and the LRU list (the counters are lock-free
+// obs::InstanceCounters the registry exports). Entries store
 // completed PartitionResults by value (shared_ptr) so readers never
 // hold the lock while copying a large result.
 #pragma once
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "ilp/simplex.hpp"
+#include "obs/metrics.hpp"
 #include "partition/partitioner.hpp"
 
 namespace wishbone::serve {
@@ -53,6 +55,7 @@ enum class CacheOutcome {
   kMiss,   ///< never seen this (graph, platform)
 };
 
+/// A reading of a SolveCache's counters (monotone since construction).
 struct CacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
@@ -110,7 +113,12 @@ class SolveCache {
     ilp::Basis donor;
   };
   std::unordered_map<std::uint64_t, PairState> pairs_;
-  CacheStats stats_;
+
+  obs::InstanceCounter hits_{"wishbone_cache_hits"};
+  obs::InstanceCounter misses_{"wishbone_cache_misses"};
+  obs::InstanceCounter stale_{"wishbone_cache_stale"};
+  obs::InstanceCounter insertions_{"wishbone_cache_insertions"};
+  obs::InstanceCounter evictions_{"wishbone_cache_evictions"};
 };
 
 }  // namespace wishbone::serve

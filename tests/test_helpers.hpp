@@ -2,10 +2,12 @@
 #pragma once
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
+#include "obs/metrics.hpp"
 #include "partition/problem.hpp"
 
 namespace wbtest {
@@ -138,6 +140,16 @@ inline std::vector<graph::Frame> int_frames(std::size_t n,
     out.emplace_back(std::move(s), graph::Encoding::kInt16);
   }
   return out;
+}
+
+/// Exported value of one counter series in the global registry (0 when
+/// the series is not registered yet).
+inline double exported(const std::string& name,
+                       const obs::Labels& labels = {}) {
+  for (const obs::MetricSample& s : obs::Registry::global().snapshot()) {
+    if (s.name == name && s.labels == labels) return s.value;
+  }
+  return 0.0;
 }
 
 }  // namespace wbtest

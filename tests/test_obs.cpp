@@ -333,6 +333,52 @@ TEST(ObsMetrics, JsonExportIsWellFormed) {
   EXPECT_NE(j.find("\"p99\""), std::string::npos);
 }
 
+// ----------------------------------------------------- ObsInstanceCounter
+
+TEST(ObsInstanceCounter, ExportSumsLiveInstancesAndFoldsOnDestroy) {
+  obs::Registry reg;
+  reg.counter("wishbone_test_events")->inc(5);
+  auto a = std::make_unique<obs::InstanceCounter>("wishbone_test_events",
+                                                  obs::Labels{}, reg);
+  obs::InstanceCounter b("wishbone_test_events", {}, reg);
+  a->inc(2);
+  b.inc(3);
+  // Each instance reads only its own events; the one series reads all.
+  EXPECT_EQ(a->value(), 2u);
+  EXPECT_EQ(b.value(), 3u);
+  ASSERT_EQ(reg.snapshot().size(), 1u);
+  EXPECT_EQ(reg.snapshot()[0].value, 10.0);
+
+  // Destroying an instance folds its count into the registry: the
+  // export does not move, so a recorder spanning it sees no delta.
+  obs::FlightRecorder rec(4, 0, &reg, &fresh_tracer());
+  a.reset();
+  EXPECT_EQ(reg.snapshot()[0].value, 10.0);
+  rec.trigger(1.0, "instance_destroyed");
+  EXPECT_TRUE(rec.snapshots().at(0).deltas.empty());
+
+  b.inc();
+  EXPECT_NE(reg.prometheus_text().find("wishbone_test_events_total 11\n"),
+            std::string::npos);
+}
+
+TEST(ObsInstanceCounter, AlsoUnlabeledAddsIntoTheFamilyTotal) {
+  obs::Registry reg;
+  obs::InstanceCounter shape("wishbone_test_rejected", {{"reason", "shape"}},
+                             reg, /*also_unlabeled=*/true);
+  obs::InstanceCounter singular("wishbone_test_rejected",
+                                {{"reason", "singular"}}, reg);
+  shape.inc(2);
+  singular.inc();
+  const auto samples = reg.snapshot();
+  ASSERT_EQ(samples.size(), 3u);  // registration order
+  EXPECT_TRUE(samples[0].labels.empty());
+  EXPECT_EQ(samples[0].value, 2.0);  // the total counts shape only
+  EXPECT_EQ(samples[1].labels, (obs::Labels{{"reason", "shape"}}));
+  EXPECT_EQ(samples[1].value, 2.0);
+  EXPECT_EQ(samples[2].value, 1.0);
+}
+
 // -------------------------------------------------------------- ObsTrace
 
 namespace {

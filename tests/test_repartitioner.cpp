@@ -7,6 +7,7 @@
 #include "runtime/fleet_sim.hpp"
 #include "runtime/repartitioner.hpp"
 #include "serve/server.hpp"
+#include "test_helpers.hpp"
 #include "util/assert.hpp"
 
 using namespace wishbone;
@@ -160,6 +161,63 @@ TEST(Repartitioner, BaselineRungWhenNoLastGoodExists) {
   // Baseline = all-at-basestation: the fleet runs, shipping raw data.
   const EpochStats e = fleet.run_epoch();
   EXPECT_GT(e.goodput, 0.0);
+}
+
+TEST(Repartitioner, StatsAreTheLabeledCounterDeltasOverAFaultedRun) {
+  auto rung = [](const char* r) {
+    return wbtest::exported("wishbone_repartitioner_rungs", {{"rung", r}});
+  };
+  auto failed = [](const char* r) {
+    return wbtest::exported("wishbone_repartitioner_failed_attempts",
+                            {{"reason", r}});
+  };
+  const char* kReasons[] = {"pump_stalled", "deadline", "shutdown",
+                            "expired", "infeasible"};
+  const double fresh0 = rung("fresh"), stale0 = rung("stale"),
+               baseline0 = rung("baseline");
+  double failed0[5];
+  for (int i = 0; i < 5; ++i) failed0[i] = failed(kReasons[i]);
+  const double triggers0 = wbtest::exported("wishbone_repartitioner_triggers");
+
+  serve::PartitionServer server(pump_server_options());
+  FleetSim fleet(chain_problem(), quiet_config());
+  RepartitionerConfig rc = pump_config();
+  rc.stale_max_epochs = 1;
+  Repartitioner rep(server, fleet, rc);
+  (void)rep.install_initial_plans();  // fresh, per class
+  server.stop();                      // optimizer outage
+  (void)rep.on_epoch(fake_epoch(0, 0.1, 1.0));  // stale, per class
+  (void)rep.on_epoch(fake_epoch(2, 0.1, 1.0));  // stale again
+  for (int e = 0; e < 3; ++e) (void)fleet.run_epoch();
+  (void)rep.on_epoch(fake_epoch(5, 0.1, 1.0));  // last-good too old
+
+  const RepartitionerStats s = rep.stats();
+  const std::size_t classes = fleet.num_classes();
+  EXPECT_EQ(s.checks, 3u);
+  EXPECT_EQ(s.triggers, 3u);
+  EXPECT_EQ(s.fresh_solves, classes);
+  EXPECT_EQ(s.stale_served, 2 * classes);
+  EXPECT_EQ(s.baseline_served, classes);
+  EXPECT_EQ(s.failed_shutdown, 3 * classes * rc.max_attempts);
+  EXPECT_EQ(s.retries, 3 * classes * (rc.max_attempts - 1));
+
+  EXPECT_EQ(static_cast<double>(s.triggers),
+            wbtest::exported("wishbone_repartitioner_triggers") - triggers0);
+  EXPECT_EQ(static_cast<double>(s.fresh_solves), rung("fresh") - fresh0);
+  EXPECT_EQ(static_cast<double>(s.stale_served), rung("stale") - stale0);
+  EXPECT_EQ(static_cast<double>(s.baseline_served),
+            rung("baseline") - baseline0);
+  const std::size_t by_reason[] = {s.failed_pump_stalled, s.failed_deadline,
+                                   s.failed_shutdown, s.failed_expired,
+                                   s.failed_infeasible};
+  std::size_t sum = 0;
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(static_cast<double>(by_reason[i]),
+              failed(kReasons[i]) - failed0[i])
+        << kReasons[i];
+    sum += by_reason[i];
+  }
+  EXPECT_EQ(s.failed_attempts, sum);
 }
 
 TEST(Repartitioner, PumpModeRunsAreBitReproducible) {

@@ -9,7 +9,9 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +20,8 @@
 #include "graph/graph.hpp"
 #include "ilp/model.hpp"
 #include "ilp/simplex.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/rate_search.hpp"
 #include "serve/graph_hash.hpp"
@@ -351,34 +355,42 @@ TEST(BasisCompat, UnstampedBasisKeepsShapeOnlyValidation) {
   EXPECT_EQ(sb.solve().status, ilp::SolveStatus::kOptimal);
 }
 
+namespace {
+
+/// A problem family whose *constraint structure* changes at rate 5:
+/// below it the work->sink stream is silent (bandwidth exactly 0), so
+/// its term drops out of the net row and the ILP built at rate 4 is
+/// structurally different from the one at rate 6 — with the same shape
+/// (when preprocessing is off). The maximum sustainable rate is `knee`.
+partition::PartitionProblem cliff_problem(double rate, double knee = 7.0) {
+  partition::PartitionProblem p;
+  partition::ProblemVertex src, work, sink;
+  src.name = "src";
+  src.req = graph::Requirement::kNode;
+  work.name = "work";
+  work.req = graph::Requirement::kMovable;
+  work.cpu = rate / knee;
+  sink.name = "sink";
+  sink.req = graph::Requirement::kServer;
+  p.vertices = {src, work, sink};
+  const double out_bw = rate < 5.0 ? 0.0 : rate;
+  p.edges = {partition::ProblemEdge{0, 1, 100.0 * rate},
+             partition::ProblemEdge{1, 2, out_bw}};
+  p.cpu_budget = 1.0;
+  p.net_budget = 50.0 * knee;
+  p.alpha = 0.0;
+  p.beta = 1.0;
+  return p;
+}
+
+}  // namespace
+
 TEST(BasisCompat, RateSearchColdStartsWhenProbeChangesStructure) {
-  // A probe family whose *constraint structure* changes inside the
-  // bracket: below rate 5 the work->sink stream is silent (bandwidth
-  // exactly 0), so its term drops out of the net row and the ILP built
-  // at rate 4 is structurally different from the one at rate 8 — with
-  // the same shape. rate_search threads final_basis between probes;
-  // before the stamp check, the stale basis loaded silently.
+  // rate_search threads final_basis between probes of cliff_problem;
+  // before the stamp check, the stale basis loaded silently across the
+  // structure cliff.
   const double knee = 7.0;
-  auto problem_at = [&](double rate) {
-    partition::PartitionProblem p;
-    partition::ProblemVertex src, work, sink;
-    src.name = "src";
-    src.req = graph::Requirement::kNode;
-    work.name = "work";
-    work.req = graph::Requirement::kMovable;
-    work.cpu = rate / knee;
-    sink.name = "sink";
-    sink.req = graph::Requirement::kServer;
-    p.vertices = {src, work, sink};
-    const double out_bw = rate < 5.0 ? 0.0 : rate;
-    p.edges = {partition::ProblemEdge{0, 1, 100.0 * rate},
-               partition::ProblemEdge{1, 2, out_bw}};
-    p.cpu_budget = 1.0;
-    p.net_budget = 50.0 * knee;
-    p.alpha = 0.0;
-    p.beta = 1.0;
-    return p;
-  };
+  auto problem_at = [&](double rate) { return cliff_problem(rate, knee); };
 
   partition::RateSearchOptions opts;
   opts.min_rate = 0.5;  // bisection probes both sides of the 5.0 cliff
@@ -624,6 +636,87 @@ TEST(Serve, WarmBasisFlowsAcrossDriftedResolves) {
   EXPECT_EQ(server.stats().warm_basis_rejected, 0u);
 }
 
+TEST(Serve, StructureRejectedDonorMovesEveryRejectViewByOne) {
+  // Same explicit graph_hash and platform, same ILP shape, different
+  // structure: the second request is a stale re-solve whose donor basis
+  // the pre-flight check refuses as kStructure. The per-server stat,
+  // the unlabeled series and the structure series each count it once.
+  const std::string name = "wishbone_serve_warm_basis_rejected";
+  const obs::Labels structure{{"reason", "structure"}};
+  const double total0 = wbtest::exported(name);
+  const double structure0 = wbtest::exported(name, structure);
+
+  ServeOptions so;
+  so.workers = 0;
+  so.partition.preprocess = false;  // keep both problems the same shape
+  PartitionServer server(so);
+  for (double rate : {6.0, 4.0}) {
+    SolveRequest req;
+    req.problem = cliff_problem(rate);
+    req.platform_id = "mote";
+    req.graph_hash = 0x5eedULL;
+    auto fut = server.submit(std::move(req));
+    ASSERT_TRUE(server.run_one());
+    ASSERT_TRUE(fut.get().result->feasible);
+  }
+
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.stale_resolves, 1u);
+  EXPECT_EQ(st.warm_basis_used, 0u);
+  EXPECT_EQ(st.warm_basis_rejected, 1u);
+  EXPECT_EQ(wbtest::exported(name) - total0, 1.0);
+  EXPECT_EQ(wbtest::exported(name, structure) - structure0, 1.0);
+}
+
+TEST(Serve, LiveServersCountTheirOwnRequestsAndExportTheSum) {
+  const double requests0 = wbtest::exported("wishbone_serve_requests");
+  const double hits0 = wbtest::exported("wishbone_cache_hits");
+
+  ServeOptions so;
+  so.workers = 0;
+  auto a = std::make_unique<PartitionServer>(so);
+  PartitionServer b(so);
+  const auto p = wbtest::random_problem(21);
+  auto fa = a->submit(request_for(p, "mote"));
+  ASSERT_TRUE(a->run_one());
+  ASSERT_TRUE(fa.get().result->feasible);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(a->submit(request_for(p, "mote")).get().source,
+              ResponseSource::kCacheHit);
+  }
+  auto fb = b.submit(request_for(p, "mote"));  // b's own cache: a miss
+  ASSERT_TRUE(b.run_one());
+  EXPECT_EQ(fb.get().source, ResponseSource::kSolved);
+
+  EXPECT_EQ(a->stats().requests, 3u);
+  EXPECT_EQ(a->stats().cache_hits, 2u);
+  EXPECT_EQ(a->stats().cache.hits, 2u);
+  EXPECT_EQ(b.stats().requests, 1u);
+  EXPECT_EQ(b.stats().cache_hits, 0u);
+  EXPECT_EQ(b.stats().cache.hits, 0u);
+  EXPECT_EQ(wbtest::exported("wishbone_serve_requests") - requests0, 4.0);
+  EXPECT_EQ(wbtest::exported("wishbone_cache_hits") - hits0, 2.0);
+
+  // Destroying a server folds its counts into the registry: the export
+  // keeps its total, and a flight recorder spanning the destruction
+  // sees no delta (in particular no negative one) for its counters.
+  obs::FlightRecorder recorder(4, 0);
+  a.reset();
+  EXPECT_EQ(wbtest::exported("wishbone_serve_requests") - requests0, 4.0);
+  EXPECT_EQ(wbtest::exported("wishbone_cache_hits") - hits0, 2.0);
+  recorder.trigger(0.0, "server_destroyed");
+  const std::vector<obs::FlightSnapshot> snaps = recorder.snapshots();
+  ASSERT_EQ(snaps.size(), 1u);
+  for (const obs::MetricDelta& d : snaps[0].deltas) {
+    for (const char* moved :
+         {"wishbone_serve_requests", "wishbone_serve_cache_hits",
+          "wishbone_serve_solves", "wishbone_cache_hits",
+          "wishbone_cache_misses", "wishbone_cache_insertions"}) {
+      EXPECT_NE(d.name, moved) << "delta " << d.delta;
+    }
+  }
+}
+
 // ------------------------------------------------- DspPlanConcurrency
 
 TEST(DspPlanConcurrency, ConcurrentFirstUseSharesOnePlan) {
@@ -819,4 +912,55 @@ TEST(ServeStress, StopRacesManualDrainAndSubmitters) {
       ASSERT_NE(r.result, nullptr);
     }
   }
+}
+
+TEST(ServeStress, ScrapesRaceServerConstructionAndDestruction) {
+  // prometheus_text() in a loop while other threads build, use and
+  // destroy servers. A server's counters detach under the registry
+  // mutex that a scrape holds, folding their values in as they go, so
+  // every scrape sees a monotone request total and none reads a
+  // destroyed instance.
+  const double requests0 = wbtest::exported("wishbone_serve_requests");
+  const auto p = wbtest::random_problem(9);
+  constexpr int kThreads = 3, kServersEach = 6, kRequestsEach = 4;
+
+  std::atomic<bool> done{false};
+  std::size_t scrapes = 0;
+  bool monotone = true;
+  std::thread scraper([&] {
+    const std::string needle = "\nwishbone_serve_requests_total ";
+    double last = requests0;
+    while (!done.load()) {
+      const std::string text = obs::Registry::global().prometheus_text();
+      const std::size_t at = text.find(needle);
+      if (at != std::string::npos) {
+        const double v = std::stod(text.substr(at + needle.size()));
+        if (v < last) monotone = false;
+        last = v;
+      }
+      ++scrapes;
+    }
+  });
+  std::vector<std::thread> builders;
+  for (int t = 0; t < kThreads; ++t) {
+    builders.emplace_back([&] {
+      for (int s = 0; s < kServersEach; ++s) {
+        ServeOptions so;
+        so.workers = 1;
+        PartitionServer server(so);
+        for (int r = 0; r < kRequestsEach; ++r) {
+          EXPECT_TRUE(server.submit(request_for(p, "mote")).get()
+                          .result->feasible);
+        }
+      }
+    });
+  }
+  for (std::thread& t : builders) t.join();
+  done.store(true);
+  scraper.join();
+
+  EXPECT_TRUE(monotone);
+  EXPECT_GT(scrapes, 0u);
+  EXPECT_EQ(wbtest::exported("wishbone_serve_requests") - requests0,
+            static_cast<double>(kThreads * kServersEach * kRequestsEach));
 }

@@ -407,3 +407,16 @@ TEST(BasisReject, StaleBoundsRevisionIsOptIn) {
   EXPECT_EQ(picky.last_load_reject(), BasisRejectReason::kBoundsRevision);
   EXPECT_EQ(picky.solve().status, SolveStatus::kOptimal);
 }
+
+TEST(Simplex, TelemetryPlusEqualsSumsEveryField) {
+  SimplexTelemetry sum{1, 2, 3, 4, 5, 6, 7, 8};
+  sum += SimplexTelemetry{10, 20, 30, 40, 50, 60, 70, 80};
+  EXPECT_EQ(sum.dual_reentries, 11u);
+  EXPECT_EQ(sum.phase1_reentries, 22u);
+  EXPECT_EQ(sum.phase1_fallbacks, 33u);
+  EXPECT_EQ(sum.primal_pivots, 44u);
+  EXPECT_EQ(sum.dual_pivots, 55u);
+  EXPECT_EQ(sum.pivots_dantzig, 66u);
+  EXPECT_EQ(sum.pivots_devex, 77u);
+  EXPECT_EQ(sum.pivots_dse, 88u);
+}
