@@ -3,7 +3,8 @@
 
 Usage:
     check_fig6_regression.py REFERENCE.json FRESH.json [--max-iter-regression R]
-                             [--wall-trend SNAP [SNAP ...]]
+                             [--require-protocol-match]
+                             [--max-fallback-share S]
 
 Compares the LP-iteration totals of the two runs over the sweep points
 that were *fully proved in both* (optimality shown or infeasibility
@@ -17,10 +18,9 @@ changes answers is a bug, not an optimization.
 Exits nonzero when the fresh run needs more than (1 + R) times the
 reference iterations on the mutually proved points (default R = 0.10).
 
---wall-trend prints a report-only wall-clock table across historical
-snapshots (e.g. the PR 1 / PR 2 / PR 3 references) plus the fresh run:
-wall time depends on the host, so the trend never fails the check —
-the hard gate stays on LP iterations.
+Always reports the fresh run's phase-1 fallback share — warm re-entries
+that could not use the dual simplex — and, with --max-fallback-share,
+fails when it exceeds S.
 """
 
 import argparse
@@ -33,38 +33,6 @@ def load(path):
         return json.load(f)
 
 
-def print_wall_trend(paths):
-    """Report-only wall-clock trend across snapshots (oldest first).
-
-    Total wall is dominated by censored points (they spend whatever the
-    cap allows), so the table also sums wall over the points proved in
-    *every* listed run — the apples-to-apples subset. Wall times are
-    host-dependent: this never exits nonzero.
-    """
-    runs = [(p, load(p)) for p in paths]
-    common = None
-    for _, d in runs:
-        proved = {i for i, v in enumerate(d.get("proved", [])) if v == 1}
-        common = proved if common is None else (common & proved)
-    common = sorted(common or [])
-    print("wall-clock trend (report-only; host-dependent):")
-    print(f"  commonly proved points: {common}")
-    print(f"  {'snapshot':44s} {'engine':6s} {'reentry':7s} {'pricing':7s} "
-          f"{'thr':>3s} {'total wall s':>12s} {'proved-pts wall s':>17s}")
-    for p, d in runs:
-        wall = d.get("wall_s_per_point", [])
-        proved_wall = (sum(wall[i] for i in common)
-                       if all(i < len(wall) for i in common) else
-                       float("nan"))
-        print(f"  {p[-44:]:44s} {str(d.get('engine', '?')):6s} "
-              f"{str(d.get('reentry', 'phase1')):7s} "
-              f"{str(d.get('pricing', 'dantzig')):7s} "
-              f"{str(d.get('threads', 1)):>3s} "
-              f"{d.get('total_wall_s', float('nan')):12.2f} "
-              f"{proved_wall:17.3f}")
-    print()
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("reference")
@@ -74,21 +42,14 @@ def main():
     ap.add_argument("--require-protocol-match", action="store_true",
                     help="fail (instead of warn) when the time cap or node "
                          "budget differs from the reference")
-    ap.add_argument("--wall-trend", nargs="+", metavar="SNAP", default=[],
-                    help="extra snapshots for a report-only wall-clock "
-                         "trend table (oldest first); the fresh run is "
-                         "appended automatically")
     ap.add_argument("--max-fallback-share", type=float, default=None,
-                    help="for a fresh run with reentry=dual: fail when "
-                         "phase-1 fallbacks exceed this fraction of all "
-                         "dual re-entry attempts (e.g. 0.05)")
+                    help="fail when the fresh run's phase-1 fallbacks "
+                         "exceed this fraction of all dual re-entry "
+                         "attempts (e.g. 0.05)")
     args = ap.parse_args()
 
     ref = load(args.reference)
     new = load(args.fresh)
-
-    if args.wall_trend:
-        print_wall_trend(args.wall_trend + [args.fresh])
 
     if ref.get("runs") != new.get("runs"):
         sys.exit(f"sweep sizes differ: reference runs={ref.get('runs')} "
@@ -99,37 +60,27 @@ def main():
     # comparison sound, but a same-protocol reference is tighter — with
     # equal node budgets the reference cannot have proved a point with
     # far more search than the fresh run, so a newly proved point can't
-    # inject headroom that masks a regression elsewhere. The re-entry
-    # mode and pricing rule are protocol too: the dual path is gated
-    # against a dual reference, never against the phase-1 walk (old
-    # snapshots predate the fields and default to the historical
-    # phase1/dantzig configuration).
-    for key, default in (("per_solve_limit_s", None),
-                         ("max_nodes_per_solve", None),
-                         ("reentry", "phase1"),
-                         ("pricing", "dantzig")):
-        if ref.get(key, default) != new.get(key, default):
-            msg = (f"protocol mismatch: {key} "
-                   f"reference={ref.get(key, default)} "
-                   f"vs fresh={new.get(key, default)}")
+    # inject headroom that masks a regression elsewhere.
+    for key in ("per_solve_limit_s", "max_nodes_per_solve"):
+        if ref.get(key) != new.get(key):
+            msg = (f"protocol mismatch: {key} reference={ref.get(key)} "
+                   f"vs fresh={new.get(key)}")
             if args.require_protocol_match:
                 sys.exit(msg)
             print(f"warning: {msg}")
 
-    # Dual-path health gate: a re-entry that punts to phase 1 got no
-    # value out of the warm dual-feasible basis. Report always, enforce
+    # Dual-path health gate: a warm re-entry that punts to phase 1 got
+    # no value out of the dual-feasible basis. Report always, enforce
     # when asked.
-    if new.get("reentry", "phase1") == "dual":
-        attempts = (new.get("total_dual_reentries", 0) +
-                    new.get("total_phase1_fallbacks", 0))
-        share = (new.get("total_phase1_fallbacks", 0) / attempts
-                 if attempts else 0.0)
-        print(f"dual re-entry fallback share: {share:.4f} "
-              f"({new.get('total_phase1_fallbacks', 0)} of {attempts})")
-        if args.max_fallback_share is not None and \
-                share > args.max_fallback_share:
-            sys.exit(f"phase-1 fallback share {share:.4f} exceeds "
-                     f"--max-fallback-share {args.max_fallback_share}")
+    fallbacks = new.get("total_phase1_fallbacks", 0)
+    attempts = new.get("total_dual_reentries", 0) + fallbacks
+    share = fallbacks / attempts if attempts else 0.0
+    print(f"dual re-entry fallback share: {share:.4f} "
+          f"({fallbacks} of {attempts})")
+    if args.max_fallback_share is not None and \
+            share > args.max_fallback_share:
+        sys.exit(f"phase-1 fallback share {share:.4f} exceeds "
+                 f"--max-fallback-share {args.max_fallback_share}")
 
     ref_proved = ref["proved"]
     new_proved = new["proved"]

@@ -12,23 +12,10 @@
 // finishes in minutes rather than hours.
 //
 // Usage: bench_fig6_solver_cdf [--engine={auto,dense,lu}] [--threads=K]
-//                              [--reentry={phase1,dual}]
-//                              [--pricing={dantzig,devex,dse}]
 //                              [runs] [per_solve_limit_s] [max_nodes]
-//                              [mode]
 //   --engine   basis factorization engine for the node LPs: "dense"
 //              (PR 1's explicit inverse), "lu" (Markowitz LU + eta
-//              file), or "auto" (resolve by row count). Defaults:
-//              auto for warm mode, dense for seed mode (fidelity to
-//              the pre-LU solver).
-//   --reentry  how warm node re-solves restore feasibility after bound
-//              edits: "phase1" (default; composite phase-1 repair, the
-//              historical walk) or "dual" (dual simplex from the still
-//              dual-feasible parent basis, phase-1 fallback on
-//              failure). Per-run re-entry telemetry lands in the JSON.
-//   --pricing  simplex pricing rule: "dantzig" (default; most-negative
-//              reduced cost), "devex" (reference-framework weights) or
-//              "dse" (dual steepest edge rows, Dantzig columns).
+//              file), or "auto" (default; resolve by row count).
 //   --threads  branch-and-bound workers per solve (default 1; 0 =
 //              hardware concurrency). The determinism contract holds
 //              at any K — identical objectives and proof outcomes —
@@ -40,9 +27,9 @@
 //              on the censored middle of the sweep: both solvers then
 //              do the same breadth of search and the LP-iteration and
 //              wall-clock totals measure work, not throughput-at-cap.
-//   mode       "warm" (default; persistent simplex state, reduced-cost
-//              fixing) or "seed" (cold per-node LPs, no fixing — the
-//              pre-warm-start solver, for baseline comparisons).
+// Node LPs warm-start from the previous node's basis and re-enter by
+// the dual simplex; per-run re-entry telemetry (dual re-entries, phase-1
+// re-entries and fallbacks) lands in the JSON.
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -54,41 +41,13 @@
 
 int main(int argc, char** argv) {
   using namespace wishbone;
-  // Split --engine= off the positional arguments.
-  bool engine_given = false;
+  // Split the flags off the positional arguments.
   ilp::BasisEngineKind engine = ilp::BasisEngineKind::kAuto;
-  ilp::ReentryKind reentry = ilp::ReentryKind::kPhase1;
-  ilp::PricingKind pricing = ilp::PricingKind::kDantzig;
   std::size_t threads = 1;
   std::vector<const char*> pos;
   for (int a = 1; a < argc; ++a) {
     if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       threads = static_cast<std::size_t>(std::atoll(argv[a] + 10));
-    } else if (std::strncmp(argv[a], "--reentry=", 10) == 0) {
-      const char* v = argv[a] + 10;
-      if (std::strcmp(v, "phase1") == 0) {
-        reentry = ilp::ReentryKind::kPhase1;
-      } else if (std::strcmp(v, "dual") == 0) {
-        reentry = ilp::ReentryKind::kDual;
-      } else {
-        std::fprintf(stderr,
-                     "unknown reentry '%s' (expected phase1, dual)\n", v);
-        return 1;
-      }
-    } else if (std::strncmp(argv[a], "--pricing=", 10) == 0) {
-      const char* v = argv[a] + 10;
-      if (std::strcmp(v, "dantzig") == 0) {
-        pricing = ilp::PricingKind::kDantzig;
-      } else if (std::strcmp(v, "devex") == 0) {
-        pricing = ilp::PricingKind::kDevex;
-      } else if (std::strcmp(v, "dse") == 0) {
-        pricing = ilp::PricingKind::kDse;
-      } else {
-        std::fprintf(stderr,
-                     "unknown pricing '%s' (expected dantzig, devex, dse)\n",
-                     v);
-        return 1;
-      }
     } else if (std::strncmp(argv[a], "--engine=", 9) == 0) {
       const char* v = argv[a] + 9;
       if (std::strcmp(v, "dense") == 0) {
@@ -102,7 +61,11 @@ int main(int argc, char** argv) {
                      "unknown engine '%s' (expected auto, dense, lu)\n", v);
         return 1;
       }
-      engine_given = true;
+    } else if (std::strncmp(argv[a], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag '%s' (expected --engine=, "
+                           "--threads=)\n",
+                   argv[a]);
+      return 1;
     } else {
       pos.push_back(argv[a]);
     }
@@ -117,15 +80,12 @@ int main(int argc, char** argv) {
       pos.size() > 1 ? std::atof(pos[1]) : 20.0;
   const std::size_t max_nodes =
       pos.size() > 2 ? static_cast<std::size_t>(std::atoll(pos[2])) : 0;
-  if (pos.size() > 3 && std::strcmp(pos[3], "seed") != 0 &&
-      std::strcmp(pos[3], "warm") != 0) {
-    std::fprintf(stderr,
-                 "unknown mode '%s' (expected 'warm' or 'seed')\n", pos[3]);
+  if (pos.size() > 3) {
+    std::fprintf(stderr, "unexpected argument '%s' (expected at most runs, "
+                         "per_solve_limit_s, max_nodes)\n",
+                 pos[3]);
     return 1;
   }
-  const bool seed_solver = pos.size() > 3 && std::strcmp(pos[3], "seed") == 0;
-  // Seed fidelity: the pre-LU solver maintained a dense inverse.
-  if (seed_solver && !engine_given) engine = ilp::BasisEngineKind::kDense;
   if (runs == 0) {
     std::fprintf(stderr, "runs must be >= 1\n");
     return 1;
@@ -177,19 +137,8 @@ int main(int argc, char** argv) {
     partition::PartitionOptions opts;
     opts.mip.time_limit_s = per_solve_limit_s;
     opts.mip.lp.engine = engine;
-    opts.mip.lp.reentry = reentry;
-    opts.mip.lp.pricing = pricing;
     opts.mip.threads = threads;
     if (max_nodes > 0) opts.mip.max_nodes = max_nodes;
-    if (seed_solver) {
-      // Pre-warm-start solver, identical partitioner heuristics: every
-      // node LP cold-starts with full Dantzig pricing, and no reduced-
-      // cost fixing shrinks the tree. Isolates the solver change in
-      // A/B runs.
-      opts.mip.warm_lp = false;
-      opts.mip.reduced_cost_fixing = false;
-      opts.mip.lp.candidate_list_size = 0;
-    }
     const auto r = partition::solve_partition(prob, opts);
     total_nodes += r.solver.nodes_explored;
     total_lp_iters += r.solver.lp_iterations;
@@ -265,19 +214,17 @@ int main(int argc, char** argv) {
   std::printf("censored instances prove slower than %.0f s each — the "
               "paper's own proof tail ran to ~12 minutes\n",
               per_solve_limit_s);
-  std::printf("\nsolver totals (%s, %s engine, %zu thread%s): %zu B&B "
+  std::printf("\nsolver totals (%s engine, %zu thread%s): %zu B&B "
               "nodes, %zu LP iterations, %zu reduced-cost fixings, "
               "%.2f s wall\n",
-              seed_solver ? "seed" : "warm", engine_ran, threads_used,
+              engine_ran, threads_used,
               threads_used == 1 ? "" : "s", total_nodes, total_lp_iters,
               total_rc_fixed, total_wall_s);
   std::printf("basis engine: %zu refactorizations, %zu eta updates, "
               "eta-file peak %zu\n",
               total_refacs, total_etas, eta_len_peak);
-  std::printf("re-entry (%s, %s pricing): %zu dual re-entries, %zu "
-              "phase-1 re-entries, %zu phase-1 fallbacks; pivots %zu "
-              "primal / %zu dual\n",
-              ilp::reentry_name(reentry), ilp::pricing_name(pricing),
+  std::printf("re-entry: %zu dual re-entries, %zu phase-1 re-entries, "
+              "%zu phase-1 fallbacks; pivots %zu primal / %zu dual\n",
               total_simplex.dual_reentries, total_simplex.phase1_reentries,
               total_simplex.phase1_fallbacks, total_simplex.primal_pivots,
               total_simplex.dual_pivots);
@@ -291,10 +238,7 @@ int main(int argc, char** argv) {
   // across PRs (nodes / LP iterations / discover / prove / objectives).
   bench::Json j;
   j.set("bench", std::string("fig6_solver_cdf"));
-  j.set("mode", std::string(seed_solver ? "seed" : "warm"));
   j.set("engine", std::string(engine_ran));
-  j.set("reentry", std::string(ilp::reentry_name(reentry)));
-  j.set("pricing", std::string(ilp::pricing_name(pricing)));
   j.set("threads", threads_used);
   j.set("runs", runs);
   j.set("per_solve_limit_s", per_solve_limit_s);

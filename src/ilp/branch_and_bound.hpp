@@ -14,7 +14,7 @@
 // instead of two n-vectors), the worker replays the delta chain onto
 // its state, and each LP re-solve warm-starts from the basis the
 // previous node left behind — sibling LPs differ by a single bound, so
-// phase-1 repair is a few pivots. Reduced-cost fixing pins 0/1
+// dual-simplex repair is a few pivots. Reduced-cost fixing pins 0/1
 // indicators whose reduced cost already closes the incumbent gap,
 // shrinking the tree.
 //
@@ -75,8 +75,10 @@ struct MipOptions {
   /// spawns N workers, each with a private SimplexState over a sharded
   /// node pool with work stealing; 0 resolves to the hardware thread
   /// count. The determinism contract at any thread count: identical
-  /// objectives and proof outcomes (node/iteration *counts* may differ
-  /// with the interleaving). When threads > 1 the rounding_hook must be
+  /// objectives and proof outcomes whenever neither run hits max_nodes
+  /// or time_limit_s (node/iteration *counts* differ with the
+  /// interleaving, so a capped search may be proved at one thread count
+  /// and censored at another). When threads > 1 the rounding_hook must be
   /// reentrant — it is invoked concurrently from several workers.
   std::size_t threads = 1;
   /// Request-scoped trace context (obs/trace.hpp). Unsampled (the
@@ -153,11 +155,10 @@ struct MipResult {
   /// its warm_basis_rejected counter out by this reason.
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
-  /// Re-entry / pricing telemetry summed over every worker's
-  /// SimplexState: how node re-solves restored feasibility (dual
-  /// simplex vs composite phase 1), how often a dual-mode solve had to
-  /// fall back, and pivot counts attributed to the pricing rule that
-  /// chose them.
+  /// Re-entry telemetry summed over every worker's SimplexState: how
+  /// node re-solves restored feasibility (dual simplex vs composite
+  /// phase 1), how often a warm re-entry had to fall back to phase 1,
+  /// and the primal / dual pivot counts.
   SimplexTelemetry simplex;
 
   /// Parallel-search telemetry: the worker count the solve actually ran

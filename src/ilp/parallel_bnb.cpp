@@ -265,12 +265,6 @@ class Search {
         reg.counter("wishbone_bnb_reentries", {{"mode", "phase1"}});
     static obs::Counter* const fallbacks =
         reg.counter("wishbone_bnb_phase1_fallbacks");
-    static obs::Counter* const pivots_dantzig =
-        reg.counter("wishbone_bnb_pivots", {{"rule", "dantzig"}});
-    static obs::Counter* const pivots_devex =
-        reg.counter("wishbone_bnb_pivots", {{"rule", "devex"}});
-    static obs::Counter* const pivots_dse =
-        reg.counter("wishbone_bnb_pivots", {{"rule", "dse"}});
     solves->inc();
     nodes->inc(res.nodes_explored);
     lp_iters->inc(res.lp_iterations);
@@ -281,9 +275,6 @@ class Search {
     reentries_dual->inc(res.simplex.dual_reentries);
     reentries_phase1->inc(res.simplex.phase1_reentries);
     fallbacks->inc(res.simplex.phase1_fallbacks);
-    pivots_dantzig->inc(res.simplex.pivots_dantzig);
-    pivots_devex->inc(res.simplex.pivots_devex);
-    pivots_dse->inc(res.simplex.pivots_dse);
   }
 
   /// Worker-private solving context: the whole point of the design is
@@ -521,7 +512,7 @@ class Search {
     apply_chain(ctx, nd);
     if (stolen && nd.snapshot && opts_.warm_lp) {
       // A stolen node is far from this worker's previous subtree: its
-      // own basis would need a long phase-1 repair. Reload the parent
+      // own basis would need a long repair walk. Reload the parent
       // snapshot instead — one refactorization, then the node LP is a
       // single bound edit away. load_basis falls back to a cold basis
       // on failure, which is still correct.
@@ -530,7 +521,7 @@ class Search {
       if (ctx.state.load_basis(*nd.snapshot)) ++tel.snapshot_reloads;
     }
     if (!opts_.warm_lp) ctx.state.reset();  // seed behavior: cold per node
-    // Prune threshold doubles as the LP's dual cutoff: under dual
+    // Prune threshold doubles as the LP's dual cutoff: on a dual
     // re-entry the node LP stops the moment its (monotone) bound rises
     // past the point where this node gets pruned anyway — LP-infeasible
     // nodes in particular are cut off long before the full

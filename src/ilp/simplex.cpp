@@ -7,14 +7,6 @@
 
 namespace wishbone::ilp {
 
-const char* reentry_name(ReentryKind kind) {
-  switch (kind) {
-    case ReentryKind::kPhase1: return "phase1";
-    case ReentryKind::kDual: return "dual";
-  }
-  return "?";
-}
-
 const char* basis_reject_name(BasisRejectReason reason) {
   switch (reason) {
     case BasisRejectReason::kNone: return "none";
@@ -78,7 +70,6 @@ SimplexState::SimplexState(const LinearProgram& lp,
                 64, std::min<std::size_t>(512,
                                           static_cast<std::size_t>(m_) / 4));
   engine_ = make_basis_engine(opts_.engine, m_, bopts);
-  pricing_ = make_pricing_rule(opts_.pricing, n_total, m_, opts_.eps);
 
   reset();
 }
@@ -114,9 +105,7 @@ void SimplexState::reset() {
     in_basis_[n_struct_ + i] = i;
   }
   engine_->set_identity();  // the all-slack basis factorizes trivially
-  // All steepest-edge norms of the identity basis are exactly 1, so the
-  // plain (approximate) reset is the exact one here.
-  pricing_->reset_weights();
+  crash_basis_ = true;
   candidates_.clear();
   recompute_basic_values();
   basics_dirty_ = false;
@@ -245,7 +234,7 @@ bool SimplexState::load_basis(const Basis& basis) {
     in_basis_[basic_[i]] = i;
   }
   for (int j = 0; j < n_total; ++j) at_upper_[j] = basis.at_upper[j] != 0;
-  if (!refactorize()) {
+  if (!engine_->factorize(cols_, basic_)) {
     last_load_reject_ = BasisRejectReason::kSingular;
     reset();
     return false;
@@ -253,49 +242,12 @@ bool SimplexState::load_basis(const Basis& basis) {
   for (int j = 0; j < n_total; ++j) {
     if (in_basis_[j] < 0) snap_nonbasic(j);
   }
+  crash_basis_ = false;
   candidates_.clear();
   recompute_basic_values();
   basics_dirty_ = false;
   reduced_costs_valid_ = false;
   return true;
-}
-
-bool SimplexState::refactorize() {
-  if (!engine_->factorize(cols_, basic_)) return false;
-  reset_pricing_weights();
-  return true;
-}
-
-void SimplexState::reset_pricing_weights() {
-  // Weights are functions of the *basis*, not the factorization, so a
-  // refactorization keeps them: devex weights live relative to their
-  // reference framework (the rule restarts the framework itself when a
-  // weight explodes), and dual steepest-edge row norms ||B^-T e_r||^2
-  // merely carry the accumulated drift of the Forrest-Goldfarb
-  // updates. exact_weight_reset spends m BTRAN-unit solves here to
-  // recompute the true DSE norms and discard that drift; the
-  // approximate default keeps the updated values as-is.
-  if (opts_.exact_weight_reset && pricing_->kind() == PricingKind::kDse) {
-    for (int r = 0; r < m_; ++r) {
-      engine_->btran_unit(r, rho_scratch_);
-      double nrm = 0.0;
-      for (double v : rho_scratch_) nrm += v * v;
-      pricing_->set_row_weight(r, nrm);
-    }
-  }
-}
-
-void SimplexState::count_pivot(bool dual) {
-  if (dual) {
-    ++tel_.dual_pivots;
-  } else {
-    ++tel_.primal_pivots;
-  }
-  switch (dual ? pricing_->dual_rule() : pricing_->primal_rule()) {
-    case PricingKind::kDantzig: ++tel_.pivots_dantzig; break;
-    case PricingKind::kDevex: ++tel_.pivots_devex; break;
-    case PricingKind::kDse: ++tel_.pivots_dse; break;
-  }
 }
 
 double SimplexState::phase1_cost(int var) const {
@@ -384,15 +336,20 @@ LpSolution SimplexState::solve(double cutoff) {
   }
 
   // Dual warm re-entry: bound edits leave reduced costs untouched, so
-  // a previously optimal basis is still dual-feasible and the dual
-  // simplex restores primal feasibility while *preserving* optimality —
-  // the textbook warm-start path for branch-and-bound children, where
-  // phase-1 repair discards the dual information and re-proves
-  // optimality from scratch. The phase-1/phase-2 loops below still run
-  // afterwards as the numerical safety net and the optimality proof
-  // (both are no-ops when the dual loop finished clean).
-  if (opts_.reentry == ReentryKind::kDual &&
-      total_infeasibility() > opts_.eps) {
+  // a previously solved or loaded basis is still dual-feasible and the
+  // dual simplex restores primal feasibility while *preserving*
+  // optimality — the textbook warm-start path for branch-and-bound
+  // children, where phase-1 repair discards the dual information and
+  // re-proves optimality from scratch. The crash basis carries no such
+  // information: its slack basis is usually dual-feasible only by
+  // accident of the crash bounds, and walking it by the dual loop costs
+  // more than phase 1, so cold solves go straight to phase 1. The
+  // phase-1/phase-2 loops below still run afterwards as the numerical
+  // safety net and the optimality proof (both are no-ops when the dual
+  // loop finished clean).
+  const bool crash = crash_basis_;
+  crash_basis_ = false;
+  if (!crash && total_infeasibility() > opts_.eps) {
     if (dual_feasible()) {
       ++tel_.dual_reentries;
       sol.dual_reentry = true;
@@ -514,11 +471,9 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   const int n_total = n_struct_ + m_;
   int enter = -1;
   double enter_sigma = 0.0;
-  // Scores come from the pricing rule (smaller is better). Dantzig's
-  // floor is -eps — its |d| scores are commensurable with the
-  // reduced-cost tolerance — which keeps this loop bit-identical to
-  // the pre-PricingRule solver; weighted rules floor at 0.
-  double best_score = pricing_->score_floor();
+  // Dantzig scores: -|d|, smaller is better, and only a score below
+  // -eps (a reduced cost past the tolerance) is worth a pivot.
+  double best_score = -opts_.eps;
 
   if (bland) {
     for (int j = 0; j < n_total; ++j) {
@@ -538,7 +493,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
         const double d = reduced_cost_of(j, phase1, y);
         const double sigma = entering_sigma(j, d);
         if (sigma == 0.0) continue;
-        const double score = pricing_->score(j, d);
+        const double score = -std::fabs(d);
         if (score < best_score) {
           best_score = score;
           enter = j;
@@ -556,7 +511,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
         const double d = reduced_cost_of(j, phase1, y);
         const double sigma = entering_sigma(j, d);
         if (sigma == 0.0) continue;
-        const double score = pricing_->score(j, d);
+        const double score = -std::fabs(d);
         if (score < best_score) {
           best_score = score;
           enter = j;
@@ -652,7 +607,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
     at_upper_[enter] = !at_upper_[enter];
     // Snap exactly onto the bound to stop drift.
     x_[enter] = at_upper_[enter] ? up_[enter] : lo_[enter];
-    count_pivot(/*dual=*/false);
+    ++tel_.primal_pivots;
     return StepOutcome::kPivoted;
   }
 
@@ -665,22 +620,6 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   basic_[leave_row] = enter;
   in_basis_[enter] = leave_row;
 
-  if (pricing_->needs_pivot_row()) {
-    // Devex weight maintenance wants the pivot row restricted to the
-    // columns it will price again — the candidate list. Both rho and
-    // alpha_q = w[leave_row] are taken against the pre-update
-    // factorization (the engine absorbs the pivot just below).
-    engine_->btran_unit(leave_row, rho_scratch_);
-    alpha_scratch_.clear();
-    for (int j : candidates_) {
-      if (in_basis_[j] >= 0) continue;
-      double a = 0.0;
-      for (const auto& [row, coeff] : cols_[j]) a += rho_scratch_[row] * coeff;
-      if (a != 0.0) alpha_scratch_.emplace_back(j, a);
-    }
-    pricing_->primal_update(enter, leaving, w[leave_row], alpha_scratch_);
-  }
-
   // Absorb the pivot into the basis engine (dense: elementary row
   // update; LU: append an eta vector). The engine declines when its
   // eta file is full or the pivot is too unstable to chain — then a
@@ -688,7 +627,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   WB_ASSERT_MSG(std::fabs(w[leave_row]) > opts_.pivot_eps,
                 "degenerate pivot");
   if (!engine_->update(leave_row, w)) {
-    if (!refactorize()) {
+    if (!engine_->factorize(cols_, basic_)) {
       // The ratio test admitted this pivot, so the new basis is
       // singular only through accumulated floating-point damage. A
       // failed factorization leaves the engine's factors half-built;
@@ -700,7 +639,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
     }
   }
 
-  count_pivot(/*dual=*/false);
+  ++tel_.primal_pivots;
   // Periodic refresh to contain floating-point drift.
   if (iters_ % 512 == 0) recompute_basic_values();
   return StepOutcome::kPivoted;
@@ -764,12 +703,11 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   if (iters_ >= opts_.max_iterations) return StepOutcome::kIterLimit;
   ++iters_;
 
-  // --- Leaving row: the most attractive bound violation by the
-  // pricing rule's row score (Bland regime: smallest variable index,
-  // mirroring the primal anti-cycling guard).
+  // --- Leaving row: the largest bound violation (Bland regime:
+  // smallest variable index, mirroring the primal anti-cycling guard).
   const bool bland = degenerate_run_ >= 50;
   int leave_row = -1;
-  double best_score = 0.0;
+  double worst = 0.0;
   double dir = 0.0;  // +1: violated above upper; -1: below lower
   for (int k = 0; k < m_; ++k) {
     const int v = basic_[k];
@@ -783,9 +721,8 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
         dir = (above >= below) ? 1.0 : -1.0;
       }
     } else {
-      const double score = pricing_->row_score(k, infeas);
-      if (leave_row < 0 || score > best_score) {
-        best_score = score;
+      if (leave_row < 0 || infeas > worst) {
+        worst = infeas;
         leave_row = k;
         dir = (above >= below) ? 1.0 : -1.0;
       }
@@ -924,7 +861,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   const double alpha_q = w[leave_row];
   if (std::fabs(alpha_q) <= opts_.pivot_eps ||
       alpha_q * (dir * chosen.abar) <= 0.0) {
-    if (!refactorize()) {
+    if (!engine_->factorize(cols_, basic_)) {
       reset();
       return StepOutcome::kIterLimit;
     }
@@ -947,25 +884,15 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   basic_[leave_row] = enter;
   in_basis_[enter] = leave_row;
 
-  // Steepest-edge weight maintenance; tau = B^-1 rho against the
-  // pre-update factorization, only for rules that ask for it.
-  if (pricing_->needs_dual_tau()) {
-    tau_scratch_ = rho;
-    engine_->ftran_dense(tau_scratch_);
-    pricing_->dual_update(leave_row, enter, alpha_q, w, tau_scratch_);
-  } else {
-    pricing_->dual_update(leave_row, enter, alpha_q, w, empty_tau_);
-  }
-
   if (!engine_->update(leave_row, w)) {
-    if (!refactorize()) {
+    if (!engine_->factorize(cols_, basic_)) {
       // Same contract as the primal loop: a post-pivot singular
       // factorization leaves only the cold reset as a coherent state.
       reset();
       return StepOutcome::kIterLimit;
     }
   }
-  count_pivot(/*dual=*/true);
+  ++tel_.dual_pivots;
   if (iters_ % 512 == 0) recompute_basic_values();
   return StepOutcome::kPivoted;
 }

@@ -1,9 +1,7 @@
 // Bounded-variable revised Simplex — primal and dual — over a
 // pluggable basis engine (ilp/basis_lu.hpp): an explicit dense inverse
 // for small bases, or a Markowitz sparse LU with eta-file updates for
-// large ones. Pricing is pluggable too (ilp/pricing.hpp): Dantzig with
-// a candidate list (the tested reference), devex, and dual steepest
-// edge.
+// large ones.
 //
 // This is the LP engine underneath branch and bound, standing in for
 // lp_solve's Simplex (§4.2.1 footnote 3). Integrality markers on the
@@ -19,25 +17,27 @@
 //    phase 1 drives bound violations of the basic variables to zero by
 //    minimizing total infeasibility with +/-1 costs, then phase 2
 //    minimizes the true objective;
-//  - pricing walks a short candidate list of recently attractive
-//    columns and falls back to a full Dantzig scan only to rebuild the
-//    list or prove optimality; Bland's rule takes over after a run of
+//  - pricing is Dantzig: the primal loop walks a short candidate list
+//    of recently attractive columns and falls back to a full scan only
+//    to rebuild the list or prove optimality; the dual loop leaves on
+//    the most infeasible row. Bland's rule takes over after a run of
 //    degenerate pivots to guard against cycling.
 //
 // Warm starts: `SimplexState` keeps the factorized basis alive between
 // solves. Variable bound changes never touch the constraint matrix, so
 // after `set_bounds` the basis inverse stays valid and the next solve()
 // re-enters from the inherited basis — typically a handful of pivots
-// instead of a full cold start. Two re-entry modes exist: the default
-// (ReentryKind::kPhase1) repairs primal feasibility with the composite
-// phase-1 loop; ReentryKind::kDual notices that bound edits leave the
-// basis *dual*-feasible (reduced costs do not depend on bounds) and
-// runs the dual simplex instead, which restores primal feasibility
-// while preserving optimality — usually far fewer pivots on the
-// one-bound-changed child LPs of branch and bound. A basis can also be
-// extracted and loaded across states for structurally identical models
-// (the refactorization path), which branch and bound and the rate
-// search use to chain closely related solves.
+// instead of a full cold start. The state picks the re-entry path from
+// the basis it holds: bound edits leave a previously solved (or
+// loaded) basis *dual*-feasible, because reduced costs do not depend on
+// bounds, so a primal-infeasible solve on such a basis runs the dual
+// simplex, which restores primal feasibility while preserving
+// optimality. The cold crash basis (after construction or reset()) and
+// any basis that fails the dual-feasibility check take composite
+// phase 1 instead. A basis can also be extracted and loaded across
+// states for structurally identical models (the refactorization path),
+// which branch and bound and the rate search use to chain closely
+// related solves.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +47,6 @@
 
 #include "ilp/basis_lu.hpp"
 #include "ilp/model.hpp"
-#include "ilp/pricing.hpp"
 
 namespace wishbone::ilp {
 
@@ -60,18 +59,9 @@ enum class SolveStatus {
   /// the basis stays dual feasible — crossed the caller's cutoff, so
   /// the caller will discard (prune) this solve's node no matter where
   /// the optimum lands. Only produced when solve() is given a finite
-  /// cutoff under ReentryKind::kDual; x is not primal feasible.
+  /// cutoff and runs the dual loop; x is not primal feasible.
   kCutoff,
 };
-
-/// How solve() restores primal feasibility after bound edits.
-enum class ReentryKind {
-  kPhase1,  ///< composite phase-1 repair (the legacy default path)
-  kDual,    ///< dual simplex from the (still dual-feasible) basis;
-            ///< falls back to phase 1 when dual feasibility fails
-};
-
-[[nodiscard]] const char* reentry_name(ReentryKind kind);
 
 /// Why load_basis rejected (or would reject) an inherited basis.
 enum class BasisRejectReason {
@@ -100,14 +90,11 @@ struct LpSolution {
 struct SimplexTelemetry {
   std::size_t dual_reentries = 0;    ///< repaired by the dual simplex
   std::size_t phase1_reentries = 0;  ///< repaired by composite phase 1
-  /// Dual-mode solves that had to fall back to phase 1: the basis was
+  /// Warm re-entries that had to fall back to phase 1: the basis was
   /// not dual-feasible at entry, or the dual loop hit numerical trouble.
   std::size_t phase1_fallbacks = 0;
   std::size_t primal_pivots = 0;     ///< phase-1/2 pivots + bound flips
   std::size_t dual_pivots = 0;       ///< dual-loop pivots
-  std::size_t pivots_dantzig = 0;    ///< pivots attributed per rule
-  std::size_t pivots_devex = 0;
-  std::size_t pivots_dse = 0;
 
   SimplexTelemetry& operator+=(const SimplexTelemetry& o) {
     dual_reentries += o.dual_reentries;
@@ -115,9 +102,6 @@ struct SimplexTelemetry {
     phase1_fallbacks += o.phase1_fallbacks;
     primal_pivots += o.primal_pivots;
     dual_pivots += o.dual_pivots;
-    pivots_dantzig += o.pivots_dantzig;
-    pivots_devex += o.pivots_devex;
-    pivots_dse += o.pivots_dse;
     return *this;
   }
 };
@@ -140,21 +124,6 @@ struct SimplexOptions {
   /// factorization better on large sparse bases, where each eta is
   /// cheap to apply but a factorization costs a full elimination).
   std::size_t refactor_interval = 0;
-  /// Warm re-entry mode after bound edits. kPhase1 keeps the solver
-  /// walk bit-identical to the pre-PR 10 engine; kDual re-enters via
-  /// the dual simplex when the basis is dual-feasible (the usual case
-  /// for branch-and-bound children) and falls back to phase 1 when not.
-  ReentryKind reentry = ReentryKind::kPhase1;
-  /// Pricing rule; kDantzig is the bit-identical reference.
-  PricingKind pricing = PricingKind::kDantzig;
-  /// Dual steepest-edge weight policy at refactorization: false keeps
-  /// the Forrest-Goldfarb-updated row weights (cheap, approximate —
-  /// they carry accumulated drift); true recomputes the exact norms
-  /// ||B^-T e_r||^2 at m BTRAN-unit solves per refactorization. Only
-  /// meaningful under PricingKind::kDse; devex weights always survive
-  /// refactorization (the rule restarts its own reference framework
-  /// when a weight explodes).
-  bool exact_weight_reset = false;
   /// Strict load_basis: reject a stamped basis whose bounds_revision
   /// differs from this state's synced revision (reported as
   /// BasisRejectReason::kBoundsRevision). Off by default — the legacy
@@ -215,7 +184,7 @@ struct Basis {
 /// The working form (columns, slacks, costs) is built once from the
 /// LinearProgram; after that, callers may tighten/relax variable bounds
 /// and re-solve() repeatedly. Each solve starts from the current basis
-/// (phase-1 repair if the bound edits made it infeasible) rather than
+/// (dual-simplex repair if the bound edits made it infeasible) rather than
 /// from all-slacks, which is what makes the branch-and-bound sweep of
 /// Fig. 6 cheap: sibling node LPs differ by one bound.
 class SimplexState {
@@ -238,9 +207,11 @@ class SimplexState {
   [[nodiscard]] int num_structural() const { return n_struct_; }
   [[nodiscard]] int num_rows() const { return m_; }
 
-  /// Optimizes from the current basis (warm). Under ReentryKind::kDual
-  /// a dual-feasible basis is repaired by the dual simplex (phase-1
-  /// fallback otherwise); then phase 1 repairs any remaining primal
+  /// Optimizes from the current basis (warm). A primal-infeasible
+  /// basis that is not the crash basis and passes dual_feasible() is
+  /// repaired by the dual simplex; the crash basis, and any other
+  /// basis, take composite phase 1 (a failed dual check counts as a
+  /// phase1_fallback). Phase 1 then repairs any remaining primal
   /// infeasibility and phase 2 minimizes the true objective.
   ///
   /// `cutoff`: while the dual loop runs, the objective is a valid,
@@ -254,14 +225,16 @@ class SimplexState {
   [[nodiscard]] LpSolution solve(double cutoff = kInf);
 
   /// Discards the basis and returns to the cold-start crash basis (all
-  /// slacks basic, structural variables at their preferred bound).
+  /// slacks basic, structural variables at their preferred bound). The
+  /// next solve() repairs it by phase 1.
   void reset();
 
   /// Snapshot of the current basis for warm-starting a related solve.
   [[nodiscard]] Basis extract_basis() const;
 
-  /// Installs an inherited basis and refactorizes the basis inverse.
-  /// On shape mismatch or a singular basis the state falls back to the
+  /// Installs an inherited basis and refactorizes the basis inverse;
+  /// the next solve() may re-enter it by the dual simplex. On shape
+  /// mismatch or a singular basis the state falls back to the
   /// cold-start basis and returns false; last_load_reject() then says
   /// why.
   bool load_basis(const Basis& basis);
@@ -287,7 +260,7 @@ class SimplexState {
   [[nodiscard]] const BasisEngineStats& basis_stats() const {
     return engine_->stats();
   }
-  /// Cumulative re-entry / per-rule pivot telemetry (across solves).
+  /// Cumulative re-entry / pivot telemetry (across solves).
   [[nodiscard]] const SimplexTelemetry& telemetry() const { return tel_; }
 
  private:
@@ -315,8 +288,8 @@ class SimplexState {
   /// the column cannot improve the current phase objective.
   [[nodiscard]] double entering_sigma(int j, double d) const;
   StepOutcome iterate(bool phase1);
-  /// One dual simplex pivot (leaving row by pricing-rule row score,
-  /// entering column by the bound-flipping dual ratio test). Returns
+  /// One dual simplex pivot (leaving row: the most infeasible basic
+  /// variable; entering column by the bound-flipping dual ratio test). Returns
   /// kNoDirection when primal-feasible, kUnbounded when the dual is
   /// unbounded (primal infeasible), kNumericalTrouble when the
   /// row/column pivot values disagree and the caller should fall back
@@ -325,9 +298,6 @@ class SimplexState {
   /// True when every nonbasic reduced cost has the sign its bound
   /// status requires — the dual-simplex entry condition.
   [[nodiscard]] bool dual_feasible();
-  bool refactorize();
-  void reset_pricing_weights();
-  void count_pivot(bool dual);
   void snap_nonbasic(int j);
 
   const SimplexOptions opts_;
@@ -343,8 +313,6 @@ class SimplexState {
   std::vector<bool> at_upper_;
   std::vector<double> x_;
   std::unique_ptr<BasisEngine> engine_;
-
-  std::unique_ptr<PricingRule> pricing_;
   SimplexTelemetry tel_;
 
   std::vector<int> candidates_;          ///< partial-pricing list
@@ -353,13 +321,13 @@ class SimplexState {
   std::vector<double> w_scratch_;        ///< pivot-direction scratch
   std::vector<std::pair<double, int>> eligible_scratch_;  ///< pricing
   std::vector<double> rho_scratch_;      ///< dual pivot row B^-T e_r
-  std::vector<double> tau_scratch_;      ///< B^-1 rho (DSE update)
   std::vector<double> rhs_scratch_;      ///< batched bound-flip rhs
   std::vector<DualCand> dual_cands_;     ///< dual ratio-test candidates
   std::vector<int> flip_scratch_;        ///< columns flipped this pivot
-  std::vector<std::pair<int, double>> alpha_scratch_;  ///< devex alphas
-  const std::vector<double> empty_tau_;  ///< for rules without tau
 
+  /// The basis is the crash basis: set by reset(), cleared by solve()
+  /// and a successful load_basis(). Decides the re-entry path.
+  bool crash_basis_ = true;
   bool basics_dirty_ = false;  ///< bound edits invalidated basic values
   mutable bool reduced_costs_valid_ = false;
   std::uint64_t synced_revision_ = 0;  ///< model bound revision mirrored

@@ -145,156 +145,60 @@ TEST(LpDifferential, PartitionMipsAgreeOnProofs) {
   }
 }
 
-// ------------------------- warm-start re-entry chains (B&B bound edits)
+// ----------------- engines x {cold solve, warm re-entry after bound edits}
 
 TEST(LpDifferential, WarmReentryChainsAgree) {
   // Mimics branch and bound's bound-edit pattern: one persistent state
-  // per engine, a chain of random fixings, solve after each edit. The
-  // dense state doubles as the oracle for the LU state, and a fresh
-  // cold solve cross-checks both (catching drift that a consistent
-  // pair of warm states could otherwise share).
+  // per engine, a chain of random fixings, solve after each edit. After
+  // every edit each engine solves twice — cold (a fresh state: crash
+  // basis, composite phase 1) and warm (the persistent state: dual
+  // re-entry from the previous basis) — and both must agree with a
+  // fresh dense cold solve, the oracle. Aggregate telemetry proves the
+  // dual loop, not silent phase-1 fallback, handled the re-entries.
   const int chains = std::max(diff_trials() / 4, 25);
+  std::size_t dual_reentries = 0, fallbacks = 0;
   std::mt19937 rng(0xC0FFEE);
   for (int t = 0; t < chains; ++t) {
     const std::uint32_t seed = 20000u + static_cast<std::uint32_t>(t);
     const LinearProgram base = gen_partition_shaped(seed, false);
     LinearProgram edited = base;
-    SimplexState dense(base, engine_opts(BasisEngineKind::kDense));
-    SimplexState lu(base, engine_opts(BasisEngineKind::kLu));
+    SimplexState warm[] = {
+        SimplexState(base, engine_opts(BasisEngineKind::kDense)),
+        SimplexState(base, engine_opts(BasisEngineKind::kLu))};
     const int n = base.num_variables();
-    for (int step = 0; step < 5; ++step) {
-      const int v = static_cast<int>(rng() % static_cast<unsigned>(n));
-      const double b = (rng() % 2) ? 1.0 : 0.0;
-      dense.set_bounds(v, b, b);
-      lu.set_bounds(v, b, b);
-      edited.set_bounds(v, b, b);
-
-      const LpSolution rd = dense.solve();
-      const LpSolution rl = lu.solve();
-      ASSERT_EQ(rd.status, rl.status)
-          << "seed=" << seed << " step=" << step << "\ndense: "
-          << describe(rd) << "\nlu: " << describe(rl);
-      const LpSolution fresh =
+    for (int step = 0; step < 6; ++step) {
+      if (step > 0) {
+        const int v = static_cast<int>(rng() % static_cast<unsigned>(n));
+        const double b = (rng() % 2) ? 1.0 : 0.0;
+        for (SimplexState& s : warm) s.set_bounds(v, b, b);
+        edited.set_bounds(v, b, b);
+      }
+      const LpSolution ref =
           SimplexSolver().solve(edited, engine_opts(BasisEngineKind::kDense));
-      ASSERT_EQ(fresh.status, rd.status) << "seed=" << seed
-                                         << " step=" << step;
-      if (rd.status != SolveStatus::kOptimal) break;
-      const double tol = 1e-6 * std::max(1.0, std::fabs(rd.objective));
-      EXPECT_NEAR(rd.objective, rl.objective, tol)
-          << "seed=" << seed << " step=" << step;
-      EXPECT_NEAR(fresh.objective, rl.objective, tol)
-          << "seed=" << seed << " step=" << step;
-    }
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-// ---------------- re-entry x pricing cross product (PR 10 dual engine)
-
-namespace {
-
-SimplexOptions cfg_opts(BasisEngineKind engine, ReentryKind reentry,
-                        PricingKind pricing) {
-  SimplexOptions o = engine_opts(engine);
-  o.reentry = reentry;
-  o.pricing = pricing;
-  return o;
-}
-
-std::string cfg_label(BasisEngineKind engine, ReentryKind reentry,
-                      PricingKind pricing) {
-  return std::string(engine_name(engine)) + "/" + reentry_name(reentry) +
-         "/" + pricing_name(pricing);
-}
-
-constexpr BasisEngineKind kEngines[] = {BasisEngineKind::kDense,
-                                        BasisEngineKind::kLu};
-constexpr ReentryKind kReentries[] = {ReentryKind::kPhase1,
-                                      ReentryKind::kDual};
-constexpr PricingKind kPricings[] = {PricingKind::kDantzig,
-                                     PricingKind::kDevex, PricingKind::kDse};
-
-}  // namespace
-
-TEST(LpDifferential, ReentryPricingCrossProductAgrees) {
-  // Every (engine, re-entry, pricing) configuration is the same solver:
-  // different pivot walks, identical answers. The dense/phase1/dantzig
-  // configuration (the PR 1 reference walk) is the oracle.
-  const int trials = std::max(diff_trials() / 8, 25);
-  for (int t = 0; t < trials; ++t) {
-    const std::uint32_t seed = 50000u + static_cast<std::uint32_t>(t);
-    const LinearProgram lp = gen_partition_shaped(seed, /*integral=*/false);
-    const LpSolution ref = SimplexSolver().solve(
-        lp, cfg_opts(BasisEngineKind::kDense, ReentryKind::kPhase1,
-                     PricingKind::kDantzig));
-    for (BasisEngineKind engine : kEngines) {
-      for (ReentryKind reentry : kReentries) {
-        for (PricingKind pricing : kPricings) {
+      for (SimplexState& s : warm) {
+        const BasisEngineKind engine = s.engine_kind();
+        const LpSolution cold =
+            SimplexSolver().solve(edited, engine_opts(engine));
+        const LpSolution got = s.solve();
+        for (const LpSolution* sol : {&cold, &got}) {
           const std::string label =
-              cfg_label(engine, reentry, pricing) +
-              " seed=" + std::to_string(seed);
-          const LpSolution got =
-              SimplexSolver().solve(lp, cfg_opts(engine, reentry, pricing));
-          ASSERT_EQ(got.status, ref.status)
+              std::string(engine_name(engine)) +
+              (sol == &cold ? "/cold" : "/warm") +
+              " seed=" + std::to_string(seed) +
+              " step=" + std::to_string(step);
+          ASSERT_EQ(sol->status, ref.status)
               << label << "\nref: " << describe(ref)
-              << "\ngot: " << describe(got) << "\n" << lp.to_text();
+              << "\ngot: " << describe(*sol);
           if (ref.status != SolveStatus::kOptimal) continue;
           const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
-          EXPECT_NEAR(got.objective, ref.objective, tol) << label;
-          EXPECT_LE(lp.max_violation(got.x), 1e-5)
+          EXPECT_NEAR(sol->objective, ref.objective, tol) << label;
+          EXPECT_LE(edited.max_violation(sol->x), 1e-5)
               << label << ": infeasible point";
         }
       }
-    }
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(LpDifferential, DualReentryChainsMatchPhaseOne) {
-  // The branch-and-bound edit pattern under the dual path: persistent
-  // states re-solving through chains of variable fixings. The dense
-  // phase-1/dantzig state is the oracle; each dual-path configuration
-  // must agree on status and objective after every edit. Aggregate
-  // telemetry proves the dual loop actually handled the re-entries
-  // instead of silently punting everything to phase 1.
-  const int chains = std::max(diff_trials() / 8, 15);
-  std::size_t dual_reentries = 0, fallbacks = 0;
-  std::mt19937 rng(0xD0A1);
-  for (int t = 0; t < chains; ++t) {
-    const std::uint32_t seed = 60000u + static_cast<std::uint32_t>(t);
-    const LinearProgram base = gen_partition_shaped(seed, false);
-    SimplexState oracle(base, cfg_opts(BasisEngineKind::kDense,
-                                       ReentryKind::kPhase1,
-                                       PricingKind::kDantzig));
-    std::vector<SimplexState> duals;
-    duals.reserve(6);
-    for (BasisEngineKind engine : kEngines) {
-      for (PricingKind pricing : kPricings) {
-        duals.emplace_back(base,
-                           cfg_opts(engine, ReentryKind::kDual, pricing));
-      }
-    }
-    const int n = base.num_variables();
-    for (int step = 0; step < 5; ++step) {
-      const int v = static_cast<int>(rng() % static_cast<unsigned>(n));
-      const double b = (rng() % 2) ? 1.0 : 0.0;
-      oracle.set_bounds(v, b, b);
-      for (auto& s : duals) s.set_bounds(v, b, b);
-
-      const LpSolution ref = oracle.solve();
-      for (std::size_t k = 0; k < duals.size(); ++k) {
-        const LpSolution got = duals[k].solve();
-        ASSERT_EQ(got.status, ref.status)
-            << "seed=" << seed << " step=" << step << " cfg=" << k
-            << "\nref: " << describe(ref) << "\ngot: " << describe(got);
-        if (ref.status != SolveStatus::kOptimal) continue;
-        const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
-        EXPECT_NEAR(got.objective, ref.objective, tol)
-            << "seed=" << seed << " step=" << step << " cfg=" << k;
-      }
       if (ref.status != SolveStatus::kOptimal) break;
     }
-    for (const auto& s : duals) {
+    for (const SimplexState& s : warm) {
       dual_reentries += s.telemetry().dual_reentries;
       fallbacks += s.telemetry().phase1_fallbacks;
     }

@@ -268,30 +268,22 @@ TEST(ObsMetrics, PrometheusExportShape) {
   EXPECT_NE(text.find("wishbone_test_seconds_count 3\n"), std::string::npos);
 }
 
-TEST(ObsMetrics, BnbReentryAndPivotCountersExport) {
-  // A dual-path solve must leave the per-mode re-entry and per-rule
-  // pivot counters registered on the global registry, with valid
-  // Prometheus label syntax (check_obs_export.py gates the same lines
-  // out of the serve bench's full-registry dump).
+TEST(ObsMetrics, BnbReentryCountersExport) {
+  // A solve must leave the per-mode re-entry and fallback counters
+  // registered on the global registry, with valid Prometheus label
+  // syntax (check_obs_export.py gates the same lines out of the serve
+  // bench's full-registry dump).
   const auto p = wbtest::random_problem(7);
-  partition::PartitionOptions opts;
-  opts.mip.lp.reentry = ilp::ReentryKind::kDual;
-  opts.mip.lp.pricing = ilp::PricingKind::kDevex;
-  const auto r = partition::solve_partition(p, opts);
+  const auto r = partition::solve_partition(p, partition::PartitionOptions{});
   ASSERT_TRUE(r.feasible);
 
   const std::string text = obs::Registry::global().prometheus_text();
   for (const char* needle :
        {"wishbone_bnb_reentries_total{mode=\"dual\"}",
         "wishbone_bnb_reentries_total{mode=\"phase1\"}",
-        "wishbone_bnb_phase1_fallbacks_total",
-        "wishbone_bnb_pivots_total{rule=\"dantzig\"}",
-        "wishbone_bnb_pivots_total{rule=\"devex\"}",
-        "wishbone_bnb_pivots_total{rule=\"dse\"}"}) {
+        "wishbone_bnb_phase1_fallbacks_total"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
-  // The devex dual solve must actually have recorded pivots under its
-  // rule's label.
   EXPECT_GT(r.solver.lp_iterations, 0u);
 }
 

@@ -169,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandom,
                          ::testing::Range(1, 13));
 
 // ---------------------------------------------------------------------------
-// Dual warm re-entry (ReentryKind::kDual)
+// Dual warm re-entry: chosen by the state from the basis it holds
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -190,9 +190,7 @@ LinearProgram classic_lp() {
 TEST(SimplexDual, ReentryAfterBoundTightenMatchesPhaseOne) {
   const LinearProgram lp = classic_lp();
 
-  SimplexOptions dual_opts;
-  dual_opts.reentry = ReentryKind::kDual;
-  SimplexState dual_state(lp, dual_opts);
+  SimplexState dual_state(lp, SimplexOptions{});
   const auto cold = dual_state.solve();
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
   EXPECT_NEAR(cold.objective, -36.0, 1e-6);
@@ -211,10 +209,11 @@ TEST(SimplexDual, ReentryAfterBoundTightenMatchesPhaseOne) {
   EXPECT_EQ(dual_state.telemetry().dual_reentries, 1u);
   EXPECT_EQ(dual_state.telemetry().phase1_fallbacks, 0u);
 
-  // The phase-1 path over the same edit must agree on the optimum.
-  SimplexState p1_state(lp, SimplexOptions{});
-  ASSERT_EQ(p1_state.solve().status, SolveStatus::kOptimal);
-  p1_state.set_bounds(1, 0.0, 4.0);
+  // A fresh state solved on the edited bounds starts from the crash
+  // basis, so it takes phase 1 — and must agree on the optimum.
+  LinearProgram edited = lp;
+  edited.set_bounds(1, 0.0, 4.0);
+  SimplexState p1_state(edited, SimplexOptions{});
   const auto p1 = p1_state.solve();
   ASSERT_EQ(p1.status, SolveStatus::kOptimal);
   EXPECT_FALSE(p1.dual_reentry);
@@ -233,9 +232,7 @@ TEST(SimplexDual, RatioTestSurvivesDegenerateTies) {
         make({{x, static_cast<double>(k)}, {y, static_cast<double>(k)}},
              Relation::kLe, 4.0 * k));
   }
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   ASSERT_EQ(state.solve().status, SolveStatus::kOptimal);
 
   state.set_bounds(x, 0.0, 1.0);
@@ -254,9 +251,7 @@ TEST(SimplexDual, ReentryDetectsInfeasibleViaDualUnbounded) {
   const int x = lp.add_variable("x", 0.0, 2.0, 1.0, false);
   const int y = lp.add_variable("y", 0.0, 2.0, 1.0, false);
   lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kGe, 3.0));
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   const auto first = state.solve();
   ASSERT_EQ(first.status, SolveStatus::kOptimal);
   EXPECT_NEAR(first.objective, 3.0, 1e-6);
@@ -269,9 +264,7 @@ TEST(SimplexDual, ReentryDetectsInfeasibleViaDualUnbounded) {
 
 TEST(SimplexDual, CutoffStopsDualLoopEarly) {
   const LinearProgram lp = classic_lp();
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   ASSERT_EQ(state.solve().status, SolveStatus::kOptimal);
 
   // After the edit the optimum rises from -36 to -30; a cutoff of -34
@@ -289,21 +282,64 @@ TEST(SimplexDual, CutoffStopsDualLoopEarly) {
   EXPECT_NEAR(full.objective, -30.0, 1e-6);
 }
 
-TEST(SimplexDual, FreeVariableWithCostFallsBackToPhaseOne) {
-  // A free variable with nonzero cost makes the crash basis dual
-  // infeasible (no finite bound to flip to), so the dual re-entry must
-  // punt to phase 1 and still solve the LP.
+TEST(SimplexDual, CrashBasisTakesPhaseOneThenEditsTakeDual) {
+  // min x + 2y, x + y >= 3, x, y in [0, 2]. The crash basis (x = y = 0,
+  // slack basic at -3) is primal infeasible yet dual feasible (both
+  // costs are positive at lower bounds) — the cold solve must still
+  // take phase 1, not the dual loop.
+  LinearProgram lp;
+  const int x = lp.add_variable("x", 0.0, 2.0, 1.0, false);
+  const int y = lp.add_variable("y", 0.0, 2.0, 2.0, false);
+  lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kGe, 3.0));
+  SimplexState state(lp, SimplexOptions{});
+  const auto cold = state.solve();
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(cold.objective, 4.0, 1e-6);  // x=2, y=1 (y basic)
+  EXPECT_FALSE(cold.dual_reentry);
+  EXPECT_EQ(state.telemetry().dual_reentries, 0u);
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
+
+  // Raising y's lower bound past its basic value breaks primal
+  // feasibility of the solved basis: that re-entry is the dual loop's.
+  state.set_bounds(y, 1.5, 2.0);
+  const auto warm = state.solve();
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(warm.dual_reentry);
+  EXPECT_NEAR(warm.objective, 4.5, 1e-6);  // x=1.5, y=1.5
+  EXPECT_EQ(state.telemetry().dual_reentries, 1u);
+  EXPECT_EQ(state.telemetry().phase1_reentries, 1u);
+  EXPECT_EQ(state.telemetry().phase1_fallbacks, 0u);
+
+  // reset() returns to the crash basis, so the next solve is phase 1.
+  state.reset();
+  const auto again = state.solve();
+  ASSERT_EQ(again.status, SolveStatus::kOptimal);
+  EXPECT_FALSE(again.dual_reentry);
+  EXPECT_NEAR(again.objective, 4.5, 1e-6);
+  EXPECT_EQ(state.telemetry().dual_reentries, 1u);
+}
+
+TEST(SimplexDual, LoadedDualInfeasibleBasisFallsBackToPhaseOne) {
+  // A free variable with nonzero cost, nonbasic in a loaded basis, has
+  // no finite bound to flip to: the basis is not dual feasible, so the
+  // re-entry must punt to phase 1 and still reach the fresh optimum.
   LinearProgram lp;
   const int f = lp.add_variable("f", -kInf, kInf, 1.0, false);
   lp.add_constraint(make({{f, 1.0}}, Relation::kGe, 3.0));
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  const auto fresh = SimplexSolver().solve(lp);
+  ASSERT_EQ(fresh.status, SolveStatus::kOptimal);
+
+  Basis slack_basis;  // the slack basic, f nonbasic at 0
+  slack_basis.basic = {1};
+  slack_basis.at_upper = {0, 0};
+  SimplexState state(lp, SimplexOptions{});
+  ASSERT_TRUE(state.load_basis(slack_basis));
   const auto sol = state.solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, fresh.objective, 1e-6);
   EXPECT_NEAR(sol.objective, 3.0, 1e-6);
   EXPECT_FALSE(sol.dual_reentry);
-  EXPECT_GE(state.telemetry().phase1_fallbacks, 1u);
+  EXPECT_EQ(state.telemetry().phase1_fallbacks, 1u);
   EXPECT_EQ(state.telemetry().dual_reentries, 0u);
 }
 
@@ -316,9 +352,7 @@ TEST(SimplexDual, WrongBoundBoxedNonbasicIsRepairedByFlip) {
   const int x = lp.add_variable("x", 0.0, 5.0, -1.0, false);
   const int y = lp.add_variable("y", 0.0, 5.0, -2.0, false);
   lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kLe, 6.0));
-  SimplexOptions opts;
-  opts.reentry = ReentryKind::kDual;
-  SimplexState state(lp, opts);
+  SimplexState state(lp, SimplexOptions{});
   ASSERT_EQ(state.solve().status, SolveStatus::kOptimal);
 
   // Fix x near its upper bound and shrink y: whichever variable ends up
@@ -409,14 +443,11 @@ TEST(BasisReject, StaleBoundsRevisionIsOptIn) {
 }
 
 TEST(Simplex, TelemetryPlusEqualsSumsEveryField) {
-  SimplexTelemetry sum{1, 2, 3, 4, 5, 6, 7, 8};
-  sum += SimplexTelemetry{10, 20, 30, 40, 50, 60, 70, 80};
+  SimplexTelemetry sum{1, 2, 3, 4, 5};
+  sum += SimplexTelemetry{10, 20, 30, 40, 50};
   EXPECT_EQ(sum.dual_reentries, 11u);
   EXPECT_EQ(sum.phase1_reentries, 22u);
   EXPECT_EQ(sum.phase1_fallbacks, 33u);
   EXPECT_EQ(sum.primal_pivots, 44u);
   EXPECT_EQ(sum.dual_pivots, 55u);
-  EXPECT_EQ(sum.pivots_dantzig, 66u);
-  EXPECT_EQ(sum.pivots_devex, 77u);
-  EXPECT_EQ(sum.pivots_dse, 88u);
 }
