@@ -169,12 +169,14 @@ class DenseBasisEngine final : public BasisEngine {
 
 /// Sparse LU with Markowitz pivoting plus a product-form eta file.
 ///
-/// factorize() runs Gaussian elimination on the sparse basis matrix,
-/// choosing each pivot by the Markowitz merit (r_i - 1)(c_j - 1) among
-/// entries passing the threshold test |a_ij| >= tau * max|row i|. The
-/// result is stored as the row/column pivot orders p/q, the multiplier
-/// sets L_k, and the upper-triangular rows U_k (original indices, so no
-/// explicit permutation matrices are needed).
+/// factorize() first pivots on column singletons (no multipliers, no
+/// fill), then runs Gaussian elimination on what remains of the sparse
+/// basis matrix, choosing each pivot by the Markowitz merit
+/// (r_i - 1)(c_j - 1) among entries passing the threshold test
+/// |a_ij| >= tau * max|row i|. The result is stored as the row/column
+/// pivot orders p/q, the multiplier sets L_k, and the upper-triangular
+/// rows U_k (original indices, so no explicit permutation matrices are
+/// needed).
 ///
 /// Each simplex pivot appends one eta vector: with w = B^-1 a_enter,
 /// the new basis is B' = B E where E is the identity with column r
@@ -340,6 +342,7 @@ class LuBasisEngine final : public BasisEngine {
   std::vector<std::vector<std::pair<int, double>>> rows_;
   std::vector<std::vector<int>> colrows_;  ///< lazy col -> row lists
   std::vector<std::vector<int>> buckets_;  ///< lazy rows-by-count lists
+  std::vector<int> singles_;  ///< column-singleton work queue
   std::vector<int> colcount_;
   std::vector<std::uint8_t> row_active_, col_active_;
   std::vector<double> spa_val_;
@@ -353,13 +356,20 @@ class LuBasisEngine final : public BasisEngine {
 
 bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
                               const std::vector<int>& basic) {
-  // Working matrix, row-wise; column j of B is cols[basic[j]].
-  rows_.assign(m_, {});
-  colrows_.assign(m_, {});
+  // Working matrix, row-wise; column j of B is cols[basic[j]]. The
+  // inner vectors are cleared, not reallocated, so a refactorization
+  // reuses the capacity of the previous one.
+  rows_.resize(m_);
+  colrows_.resize(m_);
+  buckets_.resize(static_cast<std::size_t>(m_) + 1);
+  for (int i = 0; i < m_; ++i) {
+    rows_[i].clear();
+    colrows_[i].clear();
+  }
+  for (std::vector<int>& bucket : buckets_) bucket.clear();
   colcount_.assign(m_, 0);
   row_active_.assign(m_, 1);
   col_active_.assign(m_, 1);
-  buckets_.assign(static_cast<std::size_t>(m_) + 1, {});
   for (int j = 0; j < m_; ++j) {
     for (const auto& [r, v] : cols[basic[j]]) {
       if (v == 0.0) continue;
@@ -368,8 +378,57 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
       ++colcount_[j];
     }
   }
+
+  int k = 0;
+  // --- Column singletons first. A column with one active entry pivots
+  // on that entry with no multipliers and no fill: its row moves into U
+  // unchanged. Retiring the row can leave other columns with a single
+  // active entry, so the pass runs to a fixed point. On a basis of
+  // mostly slacks and partition columns this triangularizes nearly the
+  // whole matrix and leaves Markowitz only the small remaining bump.
+  singles_.clear();
+  for (int j = 0; j < m_; ++j) {
+    if (colcount_[j] == 0) return false;  // structurally singular
+    if (colcount_[j] == 1) singles_.push_back(j);
+  }
+  for (std::size_t next = 0; next < singles_.size(); ++next) {
+    const int pj = singles_[next];
+    int pi = -1;
+    for (int i : colrows_[pj]) {
+      if (row_active_[i]) {
+        pi = i;
+        break;
+      }
+    }
+    double apiv = 0.0;
+    for (const auto& [j, v] : rows_[pi]) {
+      if (j == pj) {
+        apiv = v;
+        break;
+      }
+    }
+    // A tiny singleton is left to the threshold-tested Markowitz phase,
+    // which declares the basis singular if nothing better turns up.
+    if (std::fabs(apiv) <= opts_.pivot_eps) continue;
+    urows_[k].clear();
+    for (const auto& [j, v] : rows_[pi]) {
+      if (j == pj) continue;
+      urows_[k].emplace_back(j, v);
+      if (--colcount_[j] == 0) return false;  // column left empty
+      if (colcount_[j] == 1) singles_.push_back(j);
+    }
+    lcols_[k].clear();
+    p_[k] = pi;
+    q_[k] = pj;
+    diag_[k] = apiv;
+    ++k;
+    row_active_[pi] = 0;
+    col_active_[pj] = 0;
+    colcount_[pj] = 0;
+    rows_[pi].clear();
+  }
   for (int i = 0; i < m_; ++i) {
-    buckets_[rows_[i].size()].push_back(i);
+    if (row_active_[i]) buckets_[rows_[i].size()].push_back(i);
   }
 
   // Rows examined per pivot before settling for the best merit seen.
@@ -377,7 +436,7 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
   // O(candidates * nnz) per pivot instead of a full matrix sweep.
   constexpr int kSearchRows = 8;
 
-  for (int k = 0; k < m_; ++k) {
+  for (; k < m_; ++k) {
     // --- Markowitz pivot selection with threshold stability, over the
     // count buckets. Bucket entries are lazily validated: every row
     // rebuild pushes the row into its new bucket, so an entry is live
@@ -437,7 +496,6 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
     row_active_[pi] = 0;
     col_active_[pj] = 0;
     rows_[pi].clear();
-    rows_[pi].shrink_to_fit();
 
     // --- Eliminate column pj from the remaining active rows.
     lcols_[k].clear();

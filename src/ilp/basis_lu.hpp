@@ -16,9 +16,9 @@
 //  - `DenseBasisEngine` maintains an explicit dense m x m inverse by
 //    Gauss-Jordan (the PR 1 solver). O(m^2) per pivot and per solve,
 //    O(m^3) per refactorization — exact reference implementation.
-//  - `LuBasisEngine` keeps a sparse LU factorization chosen by
-//    Markowitz pivoting (fill-minimizing merit, threshold stability)
-//    plus a product-form eta file: each pivot appends one sparse eta
+//  - `LuBasisEngine` keeps a sparse LU factorization — column
+//    singletons first, then Markowitz pivoting (fill-minimizing merit,
+//    threshold stability) on the rest — plus a product-form eta file: each pivot appends one sparse eta
 //    vector instead of touching m^2 entries, and the factorization is
 //    rebuilt only when the eta file hits `max_eta` or a pivot is too
 //    unstable to absorb (update() returns false and the caller

@@ -40,10 +40,21 @@ int LinearProgram::add_binary(std::string name, double objective_coeff) {
 }
 
 void LinearProgram::add_constraint(Constraint c) {
+  // Row structure for structure_hash(): the distinct variables with a
+  // nonzero coefficient, in index order.
+  thread_local std::vector<int> idx;
+  idx.clear();
   for (const auto& [v, coeff] : c.terms) {
     check_var(v);
-    (void)coeff;
+    if (coeff != 0.0) idx.push_back(v);
   }
+  std::sort(idx.begin(), idx.end());
+  idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
+  std::uint64_t h =
+      hash_combine(rows_digest_, static_cast<std::uint64_t>(c.rel));
+  h = hash_combine(h, idx.size());
+  for (int v : idx) h = hash_combine(h, static_cast<std::uint64_t>(v));
+  rows_digest_ = h;
   constraints_.push_back(std::move(c));
 }
 
@@ -60,18 +71,7 @@ std::uint64_t LinearProgram::structure_hash() const {
   std::uint64_t h = hash_combine(0x57b0e6a1c3d2f4e5ull,
                                  static_cast<std::uint64_t>(num_variables()));
   h = hash_combine(h, static_cast<std::uint64_t>(constraints_.size()));
-  std::vector<int> idx;
-  for (const Constraint& c : constraints_) {
-    idx.clear();
-    for (const auto& [v, coeff] : c.terms) {
-      if (coeff != 0.0) idx.push_back(v);
-    }
-    std::sort(idx.begin(), idx.end());
-    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
-    h = hash_combine(h, static_cast<std::uint64_t>(c.rel));
-    h = hash_combine(h, idx.size());
-    for (int v : idx) h = hash_combine(h, static_cast<std::uint64_t>(v));
-  }
+  h = hash_combine(h, rows_digest_);
   return h == 0 ? 1 : h;  // reserve 0 for "unstamped"
 }
 

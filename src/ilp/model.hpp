@@ -48,9 +48,9 @@ class LinearProgram {
     return bounds_revision_;
   }
 
-  /// Fingerprint of the model's *structure*: variable count plus, per
-  /// constraint row in order, the relation and the sorted set of
-  /// variable indices carrying a nonzero coefficient. Deliberately
+  /// Fingerprint of the model's *structure*: variable count, row count
+  /// and, per constraint row in order, the relation and the sorted set
+  /// of variable indices carrying a nonzero coefficient. Deliberately
   /// independent of coefficient values, right-hand sides, bounds and
   /// names — a simplex basis extracted from one model is loadable into
   /// any model with the same structure hash (same sparsity pattern,
@@ -59,6 +59,11 @@ class LinearProgram {
   /// a row collapse to one (SimplexState coalesces them the same way);
   /// zero coefficients are skipped (they never enter the working form's
   /// numerics). Never returns 0, so 0 can serve as "unstamped".
+  ///
+  /// O(1): add_constraint folds each row into a running digest as it
+  /// arrives, and only add_variable / add_constraint change the result
+  /// (set_bounds does not), so every caller — the branch-and-bound
+  /// pre-flight, each SimplexState — reads the same memoized value.
   [[nodiscard]] std::uint64_t structure_hash() const;
 
   [[nodiscard]] int num_variables() const { return static_cast<int>(lower_.size()); }
@@ -91,6 +96,7 @@ class LinearProgram {
   std::vector<bool> integer_;
   std::vector<Constraint> constraints_;
   std::uint64_t bounds_revision_ = 0;
+  std::uint64_t rows_digest_ = 0;  ///< structure of the rows added so far
 };
 
 }  // namespace wishbone::ilp

@@ -9,14 +9,32 @@ namespace wishbone::partition {
 
 ilp::LinearProgram build_ilp(const PartitionProblem& p, Formulation form) {
   p.check();
-  ilp::LinearProgram lp;
+  const bool restricted = form == Formulation::kRestricted;
+  const std::size_t n = p.vertices.size();
 
-  // f_v indicators with pinning folded into the bounds (Eq. 1).
-  for (std::size_t v = 0; v < p.vertices.size(); ++v) {
+  // Restricted formulation, unidirectional flow (Eq. 6): the network
+  // load is linear in f (Eq. 7), sum over edges of r_uv (f_u - f_v).
+  // Fold it per vertex first so that beta * net can go straight into
+  // the objective coefficients below.
+  std::vector<double> net_coeff;
+  if (restricted) {
+    net_coeff.assign(n, 0.0);
+    for (const ProblemEdge& e : p.edges) {
+      net_coeff[e.from] += e.bandwidth;
+      net_coeff[e.to] -= e.bandwidth;
+    }
+  }
+
+  ilp::LinearProgram lp;
+  // f_v indicators with pinning folded into the bounds (Eq. 1). The
+  // objective is alpha * c_v (Eq. 5 CPU term), plus beta times the
+  // folded network term in the restricted formulation; the general one
+  // charges the network on its per-edge variables instead.
+  for (std::size_t v = 0; v < n; ++v) {
     const ProblemVertex& pv = p.vertices[v];
-    // Objective contribution: alpha * c_v (Eq. 5 CPU term). Network
-    // terms are added below, per formulation.
-    const int idx = lp.add_binary("f_" + pv.name, p.alpha * pv.cpu);
+    const double obj = restricted ? p.alpha * pv.cpu + p.beta * net_coeff[v]
+                                  : p.alpha * pv.cpu;
+    const int idx = lp.add_binary("f_" + pv.name, obj);
     WB_ASSERT(idx == static_cast<int>(v));
     if (pv.req == Requirement::kNode) lp.set_bounds(idx, 1.0, 1.0);
     if (pv.req == Requirement::kServer) lp.set_bounds(idx, 0.0, 0.0);
@@ -28,7 +46,7 @@ ilp::LinearProgram build_ilp(const PartitionProblem& p, Formulation form) {
     cpu.name = "cpu_budget";
     cpu.rel = ilp::Relation::kLe;
     cpu.rhs = p.cpu_budget;
-    for (std::size_t v = 0; v < p.vertices.size(); ++v) {
+    for (std::size_t v = 0; v < n; ++v) {
       if (p.vertices[v].cpu != 0.0) {
         cpu.terms.emplace_back(static_cast<int>(v), p.vertices[v].cpu);
       }
@@ -38,14 +56,14 @@ ilp::LinearProgram build_ilp(const PartitionProblem& p, Formulation form) {
 
   // Memory budgets (§4.2.1): identical knapsack rows over f_v, added
   // only when the platform actually constrains the resource.
-  auto add_memory_row = [&lp, &p](const char* name, double budget,
-                                  auto weight_of) {
+  auto add_memory_row = [&lp, &p, n](const char* name, double budget,
+                                     auto weight_of) {
     if (budget >= kNoResourceBudget) return;
     ilp::Constraint row;
     row.name = name;
     row.rel = ilp::Relation::kLe;
     row.rhs = budget;
-    for (std::size_t v = 0; v < p.vertices.size(); ++v) {
+    for (std::size_t v = 0; v < n; ++v) {
       const double w = weight_of(p.vertices[v]);
       if (w != 0.0) row.terms.emplace_back(static_cast<int>(v), w);
     }
@@ -56,52 +74,31 @@ ilp::LinearProgram build_ilp(const PartitionProblem& p, Formulation form) {
   add_memory_row("rom_budget", p.rom_budget,
                  [](const ProblemVertex& v) { return v.rom_bytes; });
 
-  if (form == Formulation::kRestricted) {
-    // Unidirectional flow (Eq. 6): f_u - f_v >= 0 per edge. The network
-    // load is then linear in f (Eq. 7); fold beta * net into the
-    // objective coefficients and add the net budget as one row.
-    std::vector<double> net_coeff(p.vertices.size(), 0.0);
+  if (restricted) {
+    // f_u - f_v >= 0 per edge (Eq. 6), then the net budget as one row.
     for (const ProblemEdge& e : p.edges) {
+      const std::string& from = p.vertices[e.from].name;
+      const std::string& to = p.vertices[e.to].name;
       ilp::Constraint mono;
-      mono.name = "mono_" + p.vertices[e.from].name + "_" +
-                  p.vertices[e.to].name;
+      mono.name.reserve(6 + from.size() + to.size());
+      mono.name.append("mono_").append(from).append("_").append(to);
       mono.rel = ilp::Relation::kGe;
       mono.rhs = 0.0;
-      mono.terms.emplace_back(static_cast<int>(e.from), 1.0);
-      mono.terms.emplace_back(static_cast<int>(e.to), -1.0);
+      mono.terms = {{static_cast<int>(e.from), 1.0},
+                    {static_cast<int>(e.to), -1.0}};
       lp.add_constraint(std::move(mono));
-      net_coeff[e.from] += e.bandwidth;
-      net_coeff[e.to] -= e.bandwidth;
     }
     ilp::Constraint net;
     net.name = "net_budget";
     net.rel = ilp::Relation::kLe;
     net.rhs = p.net_budget;
-    for (std::size_t v = 0; v < p.vertices.size(); ++v) {
+    for (std::size_t v = 0; v < n; ++v) {
       if (net_coeff[v] != 0.0) {
         net.terms.emplace_back(static_cast<int>(v), net_coeff[v]);
       }
     }
     lp.add_constraint(std::move(net));
-    // Objective: existing alpha*c coefficients plus beta * net terms.
-    // add_binary fixed the objective coefficient, so rebuild via a
-    // second pass is impossible; instead we appended net coefficients
-    // here by constructing the variable objective up front. Since we
-    // could not know net_coeff before scanning edges, adjust through a
-    // dedicated helper variable trick is overkill — rebuild instead.
-    ilp::LinearProgram lp2;
-    for (std::size_t v = 0; v < p.vertices.size(); ++v) {
-      const ProblemVertex& pv = p.vertices[v];
-      const int idx = lp2.add_binary(
-          "f_" + pv.name, p.alpha * pv.cpu + p.beta * net_coeff[v]);
-      WB_ASSERT(idx == static_cast<int>(v));
-      if (pv.req == Requirement::kNode) lp2.set_bounds(idx, 1.0, 1.0);
-      if (pv.req == Requirement::kServer) lp2.set_bounds(idx, 0.0, 0.0);
-    }
-    for (const ilp::Constraint& c : lp.constraints()) {
-      lp2.add_constraint(c);
-    }
-    return lp2;
+    return lp;
   }
 
   // General formulation (Eq. 3–5): e_uv, e'_uv >= 0 per edge.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "ilp/simplex.hpp"
 #include "util/assert.hpp"
@@ -15,22 +16,32 @@ std::vector<Side> PartitionResult::operator_assignment(
   return expand_assignment(solved_problem, sides, num_operators);
 }
 
-PartitionResult solve_partition(const PartitionProblem& p_in,
+PartitionResult solve_partition(const PartitionProblem& p,
                                 const PartitionOptions& opts) {
   PartitionResult res;
 
-  // Hand-built problems may omit the ops mapping; seed it with vertex
-  // ids so condensed results can be expanded back.
-  PartitionProblem p = p_in;
-  for (std::size_t v = 0; v < p.vertices.size(); ++v) {
-    if (p.vertices[v].ops.empty()) p.vertices[v].ops = {v};
-  }
-
-  PartitionProblem work = opts.preprocess ? preprocess(p, &res.prep) : p;
-  if (!opts.preprocess) {
+  // The solver works on the condensed problem, or on `p` itself when
+  // preprocessing is off. Hand-built problems may omit the ops mapping;
+  // a vertex without one stands for itself (preprocess seeds it the
+  // same way), and only the unpreprocessed path needs a seeded copy.
+  const auto first_op = [&p](std::size_t v) {
+    return p.vertices[v].ops.empty() ? v : p.vertices[v].ops.front();
+  };
+  std::optional<PartitionProblem> own;
+  if (opts.preprocess) {
+    own = preprocess(p, &res.prep);
+  } else {
     res.prep.vertices_before = res.prep.vertices_after = p.num_vertices();
     res.prep.edges_before = res.prep.edges_after = p.num_edges();
+    if (std::any_of(p.vertices.begin(), p.vertices.end(),
+                    [](const ProblemVertex& v) { return v.ops.empty(); })) {
+      own = p;
+      for (std::size_t v = 0; v < p.num_vertices(); ++v) {
+        if (own->vertices[v].ops.empty()) own->vertices[v].ops = {v};
+      }
+    }
   }
+  const PartitionProblem& work = own ? *own : p;
 
   ilp::LinearProgram model = build_ilp(work, opts.formulation);
 
@@ -55,7 +66,7 @@ PartitionResult solve_partition(const PartitionProblem& p_in,
     mip.rounding_depth = std::numeric_limits<std::size_t>::max();
   }
   // opts.warm_start only governs the rounding hook; the solver knobs
-  // (warm_lp, reduced_cost_fixing, pricing, warm_basis) stay whatever
+  // (warm_lp, reduced_cost_fixing, warm_basis) stay whatever
   // the caller put in opts.mip — ablations wanting the full seed
   // solver set those fields explicitly.
 
@@ -87,16 +98,16 @@ PartitionResult solve_partition(const PartitionProblem& p_in,
   // ids, and for a hand-built problem they are the caller's vertex ids
   // (make_problem seeds ops = {v}).
   std::size_t max_op = 0;
-  for (const ProblemVertex& v : p.vertices) {
-    for (OperatorId op : v.ops) max_op = std::max(max_op, op + 1);
+  for (std::size_t v = 0; v < p.num_vertices(); ++v) {
+    if (p.vertices[v].ops.empty()) max_op = std::max(max_op, v + 1);
+    for (OperatorId op : p.vertices[v].ops) max_op = std::max(max_op, op + 1);
   }
   const std::vector<Side> per_op =
       expand_assignment(work, work_sides, max_op);
   // Map back to p's vertex order via each vertex's first op id.
   res.sides.resize(p.num_vertices());
   for (std::size_t v = 0; v < p.num_vertices(); ++v) {
-    WB_ASSERT(!p.vertices[v].ops.empty());
-    res.sides[v] = per_op[p.vertices[v].ops.front()];
+    res.sides[v] = per_op[first_op(v)];
   }
   res.node_partition_size = static_cast<std::size_t>(
       std::count(res.sides.begin(), res.sides.end(), Side::kNode));

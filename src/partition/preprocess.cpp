@@ -1,7 +1,8 @@
 #include "partition/preprocess.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -25,31 +26,36 @@ Requirement merge_req(Requirement a, Requirement b) {
 PartitionProblem preprocess(const PartitionProblem& p,
                             PreprocessStats* stats) {
   p.check();
-  PartitionProblem cur = p;
-  // Hand-built problems may omit the op mapping; seed it with vertex
-  // ids so merged clusters stay traceable.
-  for (std::size_t v = 0; v < cur.vertices.size(); ++v) {
-    if (cur.vertices[v].ops.empty()) cur.vertices[v].ops = {v};
-  }
+  // Each round reads `*src` and materializes the condensed problem
+  // once; the input itself is only copied if nothing merges at all.
+  const PartitionProblem* src = &p;
+  PartitionProblem cur;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t rounds = 0;
 
   for (;;) {
     ++rounds;
-    const std::size_t n = cur.vertices.size();
+    const PartitionProblem& in = *src;
+    const std::size_t n = in.vertices.size();
     std::vector<std::size_t> out_deg(n, 0), in_deg(n, 0);
     std::vector<double> in_bw(n, 0.0);
-    std::vector<std::size_t> only_out_edge(n, static_cast<std::size_t>(-1));
-    for (std::size_t ei = 0; ei < cur.edges.size(); ++ei) {
-      const ProblemEdge& e = cur.edges[ei];
+    std::vector<std::size_t> only_out_edge(n, kNone);
+    for (std::size_t ei = 0; ei < in.edges.size(); ++ei) {
+      const ProblemEdge& e = in.edges[ei];
       ++out_deg[e.from];
       ++in_deg[e.to];
       in_bw[e.to] += e.bandwidth;
       only_out_edge[e.from] = ei;
     }
 
-    // Union-find over vertices for this round's contractions.
+    // Union-find over vertices for this round's contractions; `req`
+    // holds each root's merged placement requirement.
     std::vector<std::size_t> parent(n);
-    for (std::size_t v = 0; v < n; ++v) parent[v] = v;
+    std::vector<Requirement> req(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      parent[v] = v;
+      req[v] = in.vertices[v].req;
+    }
     auto find = [&](std::size_t v) {
       while (parent[v] != v) {
         parent[v] = parent[parent[v]];
@@ -61,11 +67,11 @@ PartitionProblem preprocess(const PartitionProblem& p,
     std::size_t merges = 0;
     for (std::size_t u = 0; u < n; ++u) {
       if (out_deg[u] != 1 || in_deg[u] == 0) continue;
-      const ProblemEdge& e = cur.edges[only_out_edge[u]];
+      const ProblemEdge& e = in.edges[only_out_edge[u]];
       const std::size_t v = e.to;
       if (e.bandwidth + 1e-12 < in_bw[u]) continue;  // u reduces data
-      const Requirement ru = cur.vertices[find(u)].req;
-      const Requirement rv = cur.vertices[find(v)].req;
+      const Requirement ru = req[find(u)];
+      const Requirement rv = req[find(v)];
       // If u is node-pinned, u->v may be a required cut point unless v
       // is node-pinned too.
       if (ru == Requirement::kNode && rv != Requirement::kNode) continue;
@@ -74,53 +80,94 @@ PartitionProblem preprocess(const PartitionProblem& p,
       const std::size_t b = find(v);
       if (a == b) continue;
       parent[b] = a;
-      cur.vertices[a].req = merge_req(ru, rv);
+      req[a] = merge_req(ru, rv);
       ++merges;
     }
 
     if (merges == 0) break;
 
-    // Build the condensed problem for the next round.
-    std::vector<std::size_t> cluster_id(n, static_cast<std::size_t>(-1));
-    PartitionProblem next;
-    next.cpu_budget = cur.cpu_budget;
-    next.net_budget = cur.net_budget;
-    next.ram_budget = cur.ram_budget;
-    next.rom_budget = cur.rom_budget;
-    next.alpha = cur.alpha;
-    next.beta = cur.beta;
+    // Clusters are numbered by their first member in vertex order. Size
+    // every cluster's name and op list first so each is built in one
+    // allocation: the name is the root's followed by "+member" for the
+    // other members in vertex order. Hand-built problems may omit the op
+    // mapping; a vertex without one stands for itself.
+    std::vector<std::size_t> root(n), cluster_id(n, kNone);
+    std::vector<std::size_t> cluster_root, name_len, num_ops;
+    cluster_root.reserve(n);
+    name_len.reserve(n);
+    num_ops.reserve(n);
     for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t root = find(v);
-      if (cluster_id[root] == static_cast<std::size_t>(-1)) {
-        cluster_id[root] = next.vertices.size();
-        ProblemVertex pv;
-        pv.name = cur.vertices[root].name;
-        pv.req = cur.vertices[root].req;
-        next.vertices.push_back(std::move(pv));
+      root[v] = find(v);
+      if (cluster_id[root[v]] == kNone) {
+        cluster_id[root[v]] = cluster_root.size();
+        cluster_root.push_back(root[v]);
+        name_len.push_back(in.vertices[root[v]].name.size());
+        num_ops.push_back(0);
       }
-      ProblemVertex& cl = next.vertices[cluster_id[root]];
-      cl.cpu += cur.vertices[v].cpu;
-      cl.ram_bytes += cur.vertices[v].ram_bytes;
-      cl.rom_bytes += cur.vertices[v].rom_bytes;
-      cl.ops.insert(cl.ops.end(), cur.vertices[v].ops.begin(),
-                    cur.vertices[v].ops.end());
-      if (v != root) cl.name += "+" + cur.vertices[v].name;
+      const std::size_t c = cluster_id[root[v]];
+      if (v != root[v]) name_len[c] += 1 + in.vertices[v].name.size();
+      num_ops[c] += std::max<std::size_t>(in.vertices[v].ops.size(), 1);
     }
-    // Sum parallel inter-cluster edges; drop intra-cluster ones.
-    std::map<std::pair<std::size_t, std::size_t>, double> agg;
-    for (const ProblemEdge& e : cur.edges) {
-      const std::size_t a = cluster_id[find(e.from)];
-      const std::size_t b = cluster_id[find(e.to)];
-      if (a == b) continue;
-      agg[{a, b}] += e.bandwidth;
+    const std::size_t clusters = cluster_root.size();
+
+    PartitionProblem next;
+    next.cpu_budget = in.cpu_budget;
+    next.net_budget = in.net_budget;
+    next.ram_budget = in.ram_budget;
+    next.rom_budget = in.rom_budget;
+    next.alpha = in.alpha;
+    next.beta = in.beta;
+    next.vertices.resize(clusters);
+    for (std::size_t c = 0; c < clusters; ++c) {
+      ProblemVertex& cl = next.vertices[c];
+      cl.name.reserve(name_len[c]);
+      cl.name.append(in.vertices[cluster_root[c]].name);
+      cl.req = req[cluster_root[c]];
+      cl.ops.reserve(num_ops[c]);
     }
-    for (const auto& [key, bw] : agg) {
-      next.edges.push_back(ProblemEdge{key.first, key.second, bw});
+    for (std::size_t v = 0; v < n; ++v) {
+      const ProblemVertex& pv = in.vertices[v];
+      ProblemVertex& cl = next.vertices[cluster_id[root[v]]];
+      cl.cpu += pv.cpu;
+      cl.ram_bytes += pv.ram_bytes;
+      cl.rom_bytes += pv.rom_bytes;
+      if (pv.ops.empty()) {
+        cl.ops.push_back(v);
+      } else {
+        cl.ops.insert(cl.ops.end(), pv.ops.begin(), pv.ops.end());
+      }
+      if (v != root[v]) cl.name.append("+").append(pv.name);
+    }
+
+    // Inter-cluster edges in (from, to) cluster order, parallel edges
+    // summed in edge order and intra-cluster ones dropped.
+    std::vector<std::array<std::size_t, 3>> cross;  // from, to, edge
+    cross.reserve(in.edges.size());
+    for (std::size_t ei = 0; ei < in.edges.size(); ++ei) {
+      const std::size_t a = cluster_id[root[in.edges[ei].from]];
+      const std::size_t b = cluster_id[root[in.edges[ei].to]];
+      if (a != b) cross.push_back({a, b, ei});
+    }
+    std::sort(cross.begin(), cross.end());
+    for (std::size_t s = 0; s < cross.size();) {
+      const std::size_t a = cross[s][0], b = cross[s][1];
+      double bw = 0.0;
+      for (; s < cross.size() && cross[s][0] == a && cross[s][1] == b; ++s) {
+        bw += in.edges[cross[s][2]].bandwidth;
+      }
+      next.edges.push_back(ProblemEdge{a, b, bw});
     }
     next.check();
     cur = std::move(next);
+    src = &cur;
   }
 
+  if (src == &p) {
+    cur = p;
+    for (std::size_t v = 0; v < cur.vertices.size(); ++v) {
+      if (cur.vertices[v].ops.empty()) cur.vertices[v].ops = {v};
+    }
+  }
   if (stats != nullptr) {
     stats->vertices_before = p.vertices.size();
     stats->vertices_after = cur.vertices.size();

@@ -1,34 +1,35 @@
 #include "partition/problem.hpp"
 
-#include <queue>
-
 #include "util/assert.hpp"
 
 namespace wishbone::partition {
 
 std::vector<std::size_t> PartitionProblem::topo_order() const {
-  std::vector<std::size_t> indeg(vertices.size(), 0);
-  std::vector<std::vector<std::size_t>> out(vertices.size());
-  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-    ++indeg[edges[ei].to];
-    out[edges[ei].from].push_back(ei);
+  // Kahn's algorithm over a CSR successor list (edge order within each
+  // vertex); `order` doubles as the FIFO queue of ready vertices.
+  const std::size_t n = vertices.size();
+  std::vector<std::size_t> indeg(n, 0), first(n + 1, 0);
+  for (const ProblemEdge& e : edges) {
+    ++indeg[e.to];
+    ++first[e.from + 1];
   }
-  std::queue<std::size_t> ready;
-  for (std::size_t v = 0; v < vertices.size(); ++v) {
-    if (indeg[v] == 0) ready.push(v);
-  }
+  for (std::size_t v = 0; v < n; ++v) first[v + 1] += first[v];
+  std::vector<std::size_t> succ(edges.size());
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  for (const ProblemEdge& e : edges) succ[fill[e.from]++] = e.to;
+
   std::vector<std::size_t> order;
-  order.reserve(vertices.size());
-  while (!ready.empty()) {
-    const std::size_t v = ready.front();
-    ready.pop();
-    order.push_back(v);
-    for (std::size_t ei : out[v]) {
-      if (--indeg[edges[ei].to] == 0) ready.push(edges[ei].to);
+  order.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (indeg[v] == 0) order.push_back(v);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const std::size_t v = order[head];
+    for (std::size_t s = first[v]; s < first[v + 1]; ++s) {
+      if (--indeg[succ[s]] == 0) order.push_back(succ[s]);
     }
   }
-  WB_REQUIRE(order.size() == vertices.size(),
-             "partition problem contains a cycle");
+  WB_REQUIRE(order.size() == n, "partition problem contains a cycle");
   return order;
 }
 

@@ -171,11 +171,31 @@ std::vector<std::int64_t> quantize_profile(
 }
 
 std::uint64_t profile_hash(const std::vector<std::int64_t>& quantized) {
-  std::uint64_t h = combine(0x9f0f11eull, quantized.size());
-  for (std::int64_t c : quantized) {
-    h = combine(h, static_cast<std::uint64_t>(c));
+  // Cell i folds into lane i % 4 by one multiply-xorshift step; the four
+  // lanes are independent chains, so consecutive cells overlap in the
+  // pipeline instead of waiting on each other's finalizer. Each step is
+  // a bijection of the lane state for a given cell, and one splitmix of
+  // the combined lanes mixes the result. Only bucket placement depends
+  // on this value: cache keys compare the cells themselves.
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  auto fold = [](std::uint64_t h, std::int64_t c) {
+    h = (h ^ static_cast<std::uint64_t>(c)) * kMul;
+    return h ^ (h >> 32);
+  };
+  std::uint64_t lane[4] = {0x9f0f11eull, 0x2545f4914f6cdd1dull,
+                           0x5851f42d4c957f2dull, 0x14057b7ef767814full};
+  const std::size_t n = quantized.size();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lane[0] = fold(lane[0], quantized[i]);
+    lane[1] = fold(lane[1], quantized[i + 1]);
+    lane[2] = fold(lane[2], quantized[i + 2]);
+    lane[3] = fold(lane[3], quantized[i + 3]);
   }
-  return h;
+  for (; i < n; ++i) lane[i % 4] = fold(lane[i % 4], quantized[i]);
+  std::uint64_t h = n;
+  for (std::uint64_t l : lane) h = fold(h, static_cast<std::int64_t>(l));
+  return mix64(h);
 }
 
 }  // namespace wishbone::serve

@@ -58,7 +58,8 @@ namespace wishbone::serve {
 [[nodiscard]] std::vector<std::int64_t> quantize_profile(
     const partition::PartitionProblem& p, double rel = 0.05);
 
-/// 64-bit mix of a quantized profile vector (for key hashing).
+/// 64-bit mix of a quantized profile vector (for key hashing): four
+/// interleaved multiply-xorshift lanes and one splitmix finalizer.
 [[nodiscard]] std::uint64_t profile_hash(
     const std::vector<std::int64_t>& quantized);
 

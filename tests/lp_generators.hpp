@@ -171,11 +171,13 @@ inline LinearProgram gen_bounded_lp(std::uint32_t seed) {
   return lp;
 }
 
-/// Partition-formulation-shaped instance: 0/1 indicators, knapsack
-/// capacity rows, monotone f_u >= f_v edge rows. `integral` keeps the
-/// integrality markers (MIP family) or relaxes them (LP family).
+/// Partition-formulation-shaped instance: 0/1 indicators, `knapsacks`
+/// dense capacity rows (CPU, RAM, ROM, net in the real formulation),
+/// monotone f_u >= f_v edge rows. `integral` keeps the integrality
+/// markers (MIP family) or relaxes them (LP family).
 inline LinearProgram gen_partition_shaped(std::uint32_t seed, bool integral,
-                                          int n_override = 0) {
+                                          int n_override = 0,
+                                          int knapsacks = 3) {
   std::mt19937 rng(seed);
   const int n =
       n_override > 0 ? n_override : 8 + static_cast<int>(rng() % 13);
@@ -188,7 +190,7 @@ inline LinearProgram gen_partition_shaped(std::uint32_t seed, bool integral,
                       grid(rng, -3.0, 3.0), false);
     }
   }
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < knapsacks; ++r) {
     Constraint c;
     for (int j = 0; j < n; ++j) {
       c.terms.emplace_back(j, grid(rng, 0.05, 1.0) + 0.05);

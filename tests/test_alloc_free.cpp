@@ -7,7 +7,8 @@
 // overhead cancels out, so the difference isolates per-event
 // allocations. The pool's idle-buffer count must not depend on run
 // length either: a pool that keeps storage it never handed out grows
-// with every cut frame even when nothing allocates.
+// with every cut frame even when nothing allocates. The partitioner's
+// warm re-solve has an allocation budget of its own (last test).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,6 +20,10 @@
 #include "apps/speech.hpp"
 #include "graph/frame.hpp"
 #include "graph/graph.hpp"
+#include "graph/pinning.hpp"
+#include "partition/partitioner.hpp"
+#include "profile/platform.hpp"
+#include "profile/profiler.hpp"
 #include "runtime/executor.hpp"
 #include "util/alloc_count.hpp"
 
@@ -167,6 +172,44 @@ TEST(AllocFree, CollectingSinkOutputStillWorks) {
   ex.set_collect_sink_output(false);
   auto out2 = ex.run(traces, 10);
   EXPECT_TRUE(out2.empty());
+}
+
+/// The partition server's stale-cache path: EEG-22 on Gumstix, profile
+/// drifted by 1.5%, solved from the donor basis of the previous solve.
+/// It takes about one LP iteration, so its cost is fixed set-up —
+/// preprocess, ILP build, simplex state, loading the basis — and the
+/// heap allocation count measures that set-up without a clock. Budget:
+/// half of the 25,238 allocations this solve made when the set-up
+/// still copied the problem, built the ILP twice and reallocated the
+/// LU work matrix per factorization.
+TEST(AllocFree, WarmEegResolveStaysWithinAllocationBudget) {
+  apps::EegApp app = apps::build_eeg_app();  // 22 channels
+  const auto traces = apps::eeg_traces(app, 8);
+  profile::Profiler prof(app.g);
+  const profile::ProfileData pd = prof.run(traces, 8);
+  app.g.reset_state();
+  const graph::PinAnalysis pins =
+      graph::analyze_pins(app.g, graph::Mode::kPermissive);
+  const profile::PlatformModel plat = profile::platform_by_name("Gumstix");
+  const double rate = app.full_rate_events_per_sec();
+
+  partition::PartitionOptions opts;
+  opts.mip.max_nodes = 400;
+  opts.mip.threads = 1;
+  const partition::PartitionResult donor = partition::solve_partition(
+      partition::make_problem(app.g, pins, pd, plat, rate), opts);
+  ASSERT_TRUE(donor.feasible);
+  const partition::PartitionProblem drifted =
+      partition::make_problem(app.g, pins, pd, plat, 1.015 * rate);
+  opts.mip.warm_basis = donor.solver.final_basis;
+
+  const std::uint64_t before = util::allocation_count();
+  const partition::PartitionResult res =
+      partition::solve_partition(drifted, opts);
+  const std::uint64_t allocs = util::allocation_count() - before;
+  ASSERT_TRUE(res.feasible);
+  EXPECT_TRUE(res.solver.warm_basis_loaded);
+  EXPECT_LE(allocs, 25238u / 2) << allocs << " allocations";
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "apps/fig3.hpp"
 #include "ilp/branch_and_bound.hpp"
 #include "ilp/simplex.hpp"
@@ -42,6 +45,66 @@ TEST(Formulation, PinsBecomeBounds) {
   EXPECT_DOUBLE_EQ(lp.lower(2), 0.0);
   EXPECT_DOUBLE_EQ(lp.upper(2), 1.0);
   EXPECT_TRUE(lp.is_integer(2));
+}
+
+TEST(Formulation, RestrictedModelFoldsNetworkIntoObjectiveInEdgeOrder) {
+  // The restricted model, term by term: objective alpha*cpu_v +
+  // beta*(out_v - in_v) with the bandwidths accumulated in edge order
+  // (bit for bit), and rows cpu, ram, rom, one monotone row per edge,
+  // net.
+  auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (std::uint32_t seed = 0; seed < 20; ++seed) {
+    PartitionProblem p = wbtest::random_problem(seed, 4, 4);
+    for (std::size_t v = 0; v < p.num_vertices(); ++v) {
+      p.vertices[v].ram_bytes = 16.0 + static_cast<double>(v);
+      p.vertices[v].rom_bytes = 100.0 + 3.0 * static_cast<double>(v);
+    }
+    p.ram_budget = 1e4;
+    p.rom_budget = 1e5;
+    p.alpha = 0.3;
+    p.beta = 0.7;
+    const auto lp = build_ilp(p, Formulation::kRestricted);
+    const std::size_t n = p.num_vertices();
+
+    std::vector<double> net(n, 0.0);
+    for (const ProblemEdge& e : p.edges) {
+      net[e.from] += e.bandwidth;
+      net[e.to] -= e.bandwidth;
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      EXPECT_EQ(bits(lp.objective_coeff(static_cast<int>(v))),
+                bits(p.alpha * p.vertices[v].cpu + p.beta * net[v]))
+          << "seed=" << seed << " v=" << v;
+    }
+
+    const auto& rows = lp.constraints();
+    ASSERT_EQ(rows.size(), p.num_edges() + 4) << "seed=" << seed;
+    EXPECT_EQ(rows[0].name, "cpu_budget");
+    EXPECT_EQ(rows[1].name, "ram_budget");
+    EXPECT_EQ(rows[2].name, "rom_budget");
+    for (std::size_t ei = 0; ei < p.num_edges(); ++ei) {
+      const ProblemEdge& e = p.edges[ei];
+      const ilp::Constraint& c = rows[3 + ei];
+      EXPECT_EQ(c.name, "mono_" + p.vertices[e.from].name + "_" +
+                            p.vertices[e.to].name);
+      EXPECT_EQ(c.rel, ilp::Relation::kGe);
+      EXPECT_EQ(c.rhs, 0.0);
+      const std::vector<std::pair<int, double>> terms = {
+          {static_cast<int>(e.from), 1.0}, {static_cast<int>(e.to), -1.0}};
+      EXPECT_EQ(c.terms, terms);
+    }
+    const ilp::Constraint& nr = rows.back();
+    EXPECT_EQ(nr.name, "net_budget");
+    std::vector<std::pair<int, double>> net_terms;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (net[v] != 0.0) net_terms.emplace_back(static_cast<int>(v), net[v]);
+    }
+    ASSERT_EQ(nr.terms.size(), net_terms.size());
+    for (std::size_t t = 0; t < net_terms.size(); ++t) {
+      EXPECT_EQ(nr.terms[t].first, net_terms[t].first);
+      EXPECT_EQ(bits(nr.terms[t].second), bits(net_terms[t].second));
+    }
+  }
 }
 
 TEST(Formulation, DecodeThresholdsAtHalf) {

@@ -37,6 +37,52 @@ TEST(Model, ConstraintReferencesCheckedVariables) {
   EXPECT_THROW(lp.add_constraint(c), ContractError);
 }
 
+TEST(Model, StructureHashFollowsRowsAndVariablesNotBounds) {
+  LinearProgram lp;
+  const int x = lp.add_variable("x", 0.0, 4.0, 1.0, false);
+  const std::uint64_t h0 = lp.structure_hash();
+  const int y = lp.add_binary("y", -1.0);
+  const std::uint64_t h1 = lp.structure_hash();
+  EXPECT_NE(h1, h0) << "add_variable must change the hash";
+  Constraint c;
+  c.terms = {{y, 2.0}, {x, 1.0}, {y, 0.5}};
+  c.rel = Relation::kLe;
+  c.rhs = 3.0;
+  lp.add_constraint(c);
+  const std::uint64_t h2 = lp.structure_hash();
+  EXPECT_NE(h2, h1) << "add_constraint must change the hash";
+  lp.set_bounds(x, 1.0, 2.0);
+  EXPECT_EQ(lp.bounds_revision(), 1u);
+  EXPECT_EQ(lp.structure_hash(), h2) << "bounds are not structure";
+
+  // The same structure built another way: other names, values, bounds
+  // and rhs; terms reordered, duplicated, and a zero coefficient.
+  LinearProgram other;
+  (void)other.add_variable("a", -1.0, 1.0, 0.0, true);
+  (void)other.add_variable("b", 0.0, 9.0, 5.0, false);
+  Constraint d;
+  d.terms = {{0, 7.0}, {1, -1.0}, {0, 3.0}};
+  d.rel = Relation::kLe;
+  d.rhs = -2.0;
+  other.add_constraint(d);
+  EXPECT_EQ(other.structure_hash(), h2);
+
+  // A copy carries the value and then evolves on its own; a zero
+  // coefficient is not structure.
+  LinearProgram copy = lp;
+  Constraint e;
+  e.terms = {{x, 0.0}, {y, 1.0}};
+  e.rel = Relation::kGe;
+  copy.add_constraint(e);
+  EXPECT_NE(copy.structure_hash(), h2);
+  EXPECT_EQ(lp.structure_hash(), h2);
+  Constraint e2;
+  e2.terms = {{y, 4.0}};
+  e2.rel = Relation::kGe;
+  lp.add_constraint(e2);
+  EXPECT_EQ(lp.structure_hash(), copy.structure_hash());
+}
+
 TEST(Model, ObjectiveValue) {
   LinearProgram lp;
   (void)lp.add_variable("x", 0.0, 10.0, 2.0, false);

@@ -116,6 +116,153 @@ TEST(LpDifferential, PartitionShapedLps) {
   });
 }
 
+TEST(LpDifferential, PartitionShapedLpsAtLuSize) {
+  // The partition formulation at the size where kAuto picks LU: 3-4
+  // dense knapsack rows over n = 64..200 indicators plus ~n monotone
+  // rows. Its bases are nearly triangular, so every refactorization
+  // runs mostly through the column-singleton pass.
+  const int trials = std::max(diff_trials() / 8, 10);
+  for (int t = 0; t < trials; ++t) {
+    const std::uint32_t seed = 5000u + static_cast<std::uint32_t>(t);
+    const int n = 64 + static_cast<int>(seed % 137);
+    const LinearProgram lp =
+        gen_partition_shaped(seed, /*integral=*/false, n, 3 + t % 2);
+    ASSERT_GE(lp.num_constraints(), kAutoDenseCutoff);
+    expect_engines_agree(lp, "partition_lu seed=" + std::to_string(seed));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+namespace {
+
+/// `lp` with every knapsack coefficient and objective coefficient
+/// scaled by `s`, as a drifting device's loads scale with its rate:
+/// same structure (so a basis extracted from `lp` stays loadable), same
+/// budgets, same monotone rows.
+LinearProgram drifted(const LinearProgram& lp, double s) {
+  LinearProgram out;
+  for (int v = 0; v < lp.num_variables(); ++v) {
+    out.add_variable(lp.variable_name(v), lp.lower(v), lp.upper(v),
+                     s * lp.objective_coeff(v), lp.is_integer(v));
+  }
+  for (Constraint c : lp.constraints()) {
+    if (c.rel == Relation::kLe) {
+      for (auto& term : c.terms) term.second *= s;
+    }
+    out.add_constraint(std::move(c));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(LpDifferential, DriftedLoadedBasesAgreeWithColdOracle) {
+  // The serve path's stale re-solve: solve, extract the basis, drift
+  // the loads, load the basis into fresh states of both engines and
+  // re-solve. Both must match a dense cold solve of the drifted model.
+  const int trials = std::max(diff_trials() / 16, 10);
+  for (int t = 0; t < trials; ++t) {
+    const std::uint32_t seed = 6000u + static_cast<std::uint32_t>(t);
+    const LinearProgram lp = gen_partition_shaped(
+        seed, /*integral=*/false, 64 + static_cast<int>(seed % 137),
+        3 + t % 2);
+    SimplexState donor(lp, engine_opts(BasisEngineKind::kLu));
+    ASSERT_EQ(donor.solve().status, SolveStatus::kOptimal);
+    const Basis basis = donor.extract_basis();
+    for (double s : {0.85, 0.985, 1.015, 1.2}) {
+      const LinearProgram next = drifted(lp, s);
+      ASSERT_EQ(next.structure_hash(), lp.structure_hash());
+      const LpSolution ref =
+          SimplexSolver().solve(next, engine_opts(BasisEngineKind::kDense));
+      for (BasisEngineKind kind :
+           {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
+        const std::string label = std::string(engine_name(kind)) +
+                                  " seed=" + std::to_string(seed) +
+                                  " scale=" + std::to_string(s);
+        SimplexState warm(next, engine_opts(kind));
+        ASSERT_TRUE(warm.load_basis(basis)) << label;
+        const LpSolution got = warm.solve();
+        ASSERT_EQ(got.status, ref.status)
+            << label << "\nref: " << describe(ref)
+            << "\ngot: " << describe(got);
+        if (ref.status != SolveStatus::kOptimal) continue;
+        const double tol = 1e-6 * std::max(1.0, std::fabs(ref.objective));
+        EXPECT_NEAR(got.objective, ref.objective, tol) << label;
+        EXPECT_LE(next.max_violation(got.x), 1e-5) << label;
+      }
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(LpDifferential, SingularLoadedBasesAreRejected) {
+  // An LU-size model (m >= kAutoDenseCutoff) with three planted
+  // dependencies, one per place a factorization can find it:
+  //  - x0 lives only in row 0, so with row 0's slack basic two basic
+  //    columns share one row: the singleton pass empties a column;
+  //  - x1 and x2 are proportional in rows 1-2: a singular 2x2 bump
+  //    left for the Markowitz phase;
+  //  - x3 has no nonzero coefficient: an empty basis column.
+  // Each basis must be rejected as kSingular by both engines, and the
+  // state must fall back to the crash basis and still solve.
+  const int m = kAutoDenseCutoff + 4;
+  LinearProgram lp;
+  for (int v = 0; v < m; ++v) {
+    lp.add_variable("x" + std::to_string(v), 0.0, 1.0, -1.0 - 0.01 * v,
+                    false);
+  }
+  for (int r = 0; r < m; ++r) {
+    Constraint c;
+    c.rel = Relation::kLe;
+    c.rhs = 1.5;
+    if (r == 0) {
+      c.terms = {{0, 1.0}};
+    } else if (r == 1 || r == 2) {
+      c.terms = {{1, 1.0 * r}, {2, 2.0 * r}, {4, 1.0}};
+    } else if (r == 3) {
+      c.terms = {{3, 0.0}, {5, 1.0}};
+    } else {
+      c.terms = {{r, 1.0}, {r + 1 < m ? r + 1 : 4, 0.5}};
+    }
+    lp.add_constraint(std::move(c));
+  }
+  const LpSolution ref =
+      SimplexSolver().solve(lp, engine_opts(BasisEngineKind::kDense));
+  ASSERT_EQ(ref.status, SolveStatus::kOptimal);
+
+  auto slack_basis = [&] {
+    Basis b;
+    b.basic.resize(m);
+    for (int r = 0; r < m; ++r) b.basic[r] = m + r;
+    b.at_upper.assign(2 * m, 0);
+    b.num_rows = m;
+    b.num_structural = m;
+    return b;
+  };
+  std::vector<Basis> singular(3, slack_basis());
+  singular[0].basic[1] = 0;  // x0 beside row 0's slack
+  singular[1].basic[1] = 1;  // x1 and x2 replace the slacks of rows 1-2
+  singular[1].basic[2] = 2;
+  singular[2].basic[3] = 3;  // x3, an all-zero column
+
+  for (std::size_t c = 0; c < singular.size(); ++c) {
+    for (BasisEngineKind kind :
+         {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
+      const std::string label =
+          std::string(engine_name(kind)) + " case=" + std::to_string(c);
+      SimplexState st(lp, engine_opts(kind));
+      EXPECT_FALSE(st.load_basis(singular[c])) << label;
+      EXPECT_EQ(st.last_load_reject(), BasisRejectReason::kSingular) << label;
+      const LpSolution got = st.solve();
+      ASSERT_EQ(got.status, SolveStatus::kOptimal) << label;
+      EXPECT_NEAR(got.objective, ref.objective, 1e-9) << label;
+    }
+  }
+  // The all-slack basis itself is fine.
+  SimplexState st(lp, engine_opts(BasisEngineKind::kLu));
+  EXPECT_TRUE(st.load_basis(slack_basis()));
+}
+
 // ------------------------------------------------- MIPs through B&B
 
 TEST(LpDifferential, PartitionMipsAgreeOnProofs) {

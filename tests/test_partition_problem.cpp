@@ -32,6 +32,36 @@ TEST(Problem, TopoOrderDetectsCycle) {
   // a1 -> a2 exists; close a cycle a2 -> a1.
   p.edges.push_back(ProblemEdge{3, 2, 1.0});
   EXPECT_THROW((void)p.topo_order(), ContractError);
+
+  // A cycle in a component with no source at all.
+  PartitionProblem q = apps::fig3_problem();
+  const std::size_t a = q.vertices.size();
+  q.vertices.resize(a + 2);
+  q.edges.push_back(ProblemEdge{a, a + 1, 1.0});
+  q.edges.push_back(ProblemEdge{a + 1, a, 1.0});
+  EXPECT_THROW((void)q.topo_order(), ContractError);
+  EXPECT_THROW(q.check(), ContractError);
+}
+
+TEST(Problem, TopoOrderIsKahnInFifoOrder) {
+  // Reference: Kahn's algorithm with a FIFO of ready vertices, each
+  // vertex's successors taken in edge order.
+  for (std::uint32_t seed = 0; seed < 30; ++seed) {
+    const PartitionProblem p = wbtest::random_problem(seed, 5, 4);
+    const std::size_t n = p.num_vertices();
+    std::vector<std::size_t> indeg(n, 0);
+    for (const ProblemEdge& e : p.edges) ++indeg[e.to];
+    std::vector<std::size_t> ref;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (indeg[v] == 0) ref.push_back(v);
+    }
+    for (std::size_t head = 0; head < ref.size(); ++head) {
+      for (const ProblemEdge& e : p.edges) {
+        if (e.from == ref[head] && --indeg[e.to] == 0) ref.push_back(e.to);
+      }
+    }
+    EXPECT_EQ(p.topo_order(), ref) << "seed=" << seed;
+  }
 }
 
 TEST(Problem, InOutBandwidth) {

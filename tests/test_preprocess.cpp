@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+
+#include "apps/eeg.hpp"
+#include "apps/speech.hpp"
+#include "graph/pinning.hpp"
 #include "partition/baselines.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/preprocess.hpp"
+#include "profile/platform.hpp"
+#include "profile/profiler.hpp"
 #include "test_helpers.hpp"
 
 using namespace wishbone;
@@ -159,3 +168,81 @@ TEST_P(PreprocessOptimality, PreservesOptimalObjective) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PreprocessOptimality,
                          ::testing::Range(1, 25));
+
+namespace {
+
+/// FNV-1a over everything preprocess produces: per vertex its name,
+/// requirement, op list and weights (by bit pattern), then the edges in
+/// order with their bandwidths (by bit pattern).
+std::uint64_t preprocess_digest(const PartitionProblem& q) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto byte = [&h](unsigned char c) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  };
+  auto word = [&byte](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      byte(static_cast<unsigned char>(w >> (8 * i)));
+    }
+  };
+  auto real = [&word](double d) { word(std::bit_cast<std::uint64_t>(d)); };
+  word(q.vertices.size());
+  for (const ProblemVertex& v : q.vertices) {
+    word(v.name.size());
+    for (char c : v.name) byte(static_cast<unsigned char>(c));
+    word(static_cast<std::uint64_t>(v.req));
+    word(v.ops.size());
+    for (OperatorId op : v.ops) word(op);
+    real(v.cpu);
+    real(v.ram_bytes);
+    real(v.rom_bytes);
+  }
+  word(q.edges.size());
+  for (const ProblemEdge& e : q.edges) {
+    word(e.from);
+    word(e.to);
+    real(e.bandwidth);
+  }
+  return h;
+}
+
+/// The profiled problem of an application at `rate` on `platform`.
+PartitionProblem profiled_problem(
+    graph::Graph& g,
+    const std::map<OperatorId, std::vector<graph::Frame>>& traces,
+    std::size_t events, const char* platform, double rate) {
+  profile::Profiler prof(g);
+  const profile::ProfileData pd = prof.run(traces, events);
+  g.reset_state();
+  const graph::PinAnalysis pins =
+      graph::analyze_pins(g, graph::Mode::kPermissive);
+  return make_problem(g, pins, pd, profile::platform_by_name(platform), rate);
+}
+
+}  // namespace
+
+TEST(Preprocess, OutputOnPaperAppsIsUnchanged) {
+  // Digests of the condensed EEG-22 / EEG-8 (Gumstix) and speech
+  // (TMoteSky) problems, recorded before preprocess was rewritten to
+  // build each round in one pass: names, op lists, requirements,
+  // summed weights and edge order must all stay bit-identical, which
+  // keeps every ILP built from them identical too.
+  for (std::size_t channels : {22u, 8u}) {
+    apps::EegConfig cfg;
+    cfg.channels = channels;
+    apps::EegApp e = apps::build_eeg_app(cfg);
+    const auto traces = apps::eeg_traces(e, 8);
+    const PartitionProblem p = profiled_problem(
+        e.g, traces, 8, "Gumstix", e.full_rate_events_per_sec());
+    const std::uint64_t want =
+        channels == 22 ? 0x1c62ec789907c6efull : 0x9f6527207d9c7527ull;
+    EXPECT_EQ(preprocess_digest(preprocess(p)), want)
+        << "EEG-" << channels;
+  }
+  apps::SpeechApp s = apps::build_speech_app();
+  const auto traces = apps::speech_traces(s, 40);
+  const PartitionProblem p =
+      profiled_problem(s.g, traces, 40, "TMoteSky",
+                       apps::SpeechApp::kFullRateEventsPerSec);
+  EXPECT_EQ(preprocess_digest(preprocess(p)), 0xd752902156573b58ull);
+}
