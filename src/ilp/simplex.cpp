@@ -770,18 +770,11 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
     // along e_r, i.e. the primal is infeasible.
     return StepOutcome::kUnbounded;
   }
-  // Candidates are taken in (theta, j) order — j breaks ties, Bland
-  // style — from a heap: the flip walk below usually consumes only a
-  // few of them, so ordering all of them would be wasted work.
-  const auto earlier = [](const DualCand& a, const DualCand& b) {
-    if (a.theta != b.theta) return a.theta < b.theta;
-    return a.j < b.j;
-  };
-  const auto later = [&earlier](const DualCand& a, const DualCand& b) {
-    return earlier(b, a);
-  };
-  std::make_heap(dual_cands_.begin(), dual_cands_.end(), later);
-  auto rest_end = dual_cands_.end();  // [begin, rest_end): not flipped
+  std::sort(dual_cands_.begin(), dual_cands_.end(),
+            [](const DualCand& a, const DualCand& b) {
+              if (a.theta != b.theta) return a.theta < b.theta;
+              return a.j < b.j;  // deterministic, Bland-style tie-break
+            });
 
   // --- Bound-flip ratio test: a candidate whose whole span absorbs
   // less violation than remains can jump to its other bound instead of
@@ -792,17 +785,17 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   // excludes.
   double delta_rem = std::fabs(x_[leaving] - target);
   flip_scratch_.clear();
+  std::size_t pick = 0;
   if (!bland) {
-    while (rest_end - dual_cands_.begin() > 1) {
-      const DualCand& c = dual_cands_.front();
+    while (pick + 1 < dual_cands_.size()) {
+      const DualCand& c = dual_cands_[pick];
       const double span = up_[c.j] - lo_[c.j];
       if (!std::isfinite(span)) break;
       const double absorb = std::fabs(c.abar) * span;
       if (absorb >= delta_rem - opts_.eps) break;
       flip_scratch_.push_back(c.j);
       delta_rem -= absorb;
-      std::pop_heap(dual_cands_.begin(), rest_end, later);
-      --rest_end;
+      ++pick;
     }
   }
   // Harris two-pass ratio test over the remaining candidates. Pass 1:
@@ -819,26 +812,26 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   // The tolerance-level reduced-cost slips this admits are exactly the
   // ones dual_feasible() already tolerates, and later iterations clamp
   // them to degenerate steps. Bland regime keeps the strict minimum
-  // for the anti-cycling argument. Either way ties go to the earliest
-  // candidate in (theta, j) order; the heap's front is the first.
-  auto chosen_it = dual_cands_.begin();
+  // for the anti-cycling argument.
+  std::size_t chosen_ix = pick;
   if (!bland) {
     double theta_h = kInf;
-    for (auto q = dual_cands_.begin(); q != rest_end; ++q) {
-      const double cap = q->theta + opts_.eps / std::fabs(q->abar);
+    for (std::size_t q = pick; q < dual_cands_.size(); ++q) {
+      const double cap =
+          dual_cands_[q].theta + opts_.eps / std::fabs(dual_cands_[q].abar);
       if (cap < theta_h) theta_h = cap;
     }
     double best_abar = 0.0;
-    for (auto q = dual_cands_.begin(); q != rest_end; ++q) {
-      if (q->theta > theta_h) continue;
-      const double mag = std::fabs(q->abar);
-      if (mag > best_abar || (mag == best_abar && earlier(*q, *chosen_it))) {
+    for (std::size_t q = pick; q < dual_cands_.size(); ++q) {
+      if (dual_cands_[q].theta > theta_h) continue;
+      const double mag = std::fabs(dual_cands_[q].abar);
+      if (mag > best_abar) {
         best_abar = mag;
-        chosen_it = q;
+        chosen_ix = q;
       }
     }
   }
-  const DualCand chosen = *chosen_it;
+  const DualCand chosen = dual_cands_[chosen_ix];
   const int enter = chosen.j;
 
   if (!flip_scratch_.empty()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "ilp/simplex.hpp"
 #include "util/assert.hpp"
@@ -21,27 +20,15 @@ PartitionResult solve_partition(const PartitionProblem& p,
   PartitionResult res;
 
   // The solver works on the condensed problem, or on `p` itself when
-  // preprocessing is off. Hand-built problems may omit the ops mapping;
-  // a vertex without one stands for itself (preprocess seeds it the
-  // same way), and only the unpreprocessed path needs a seeded copy.
-  const auto first_op = [&p](std::size_t v) {
-    return p.vertices[v].ops.empty() ? v : p.vertices[v].ops.front();
-  };
-  std::optional<PartitionProblem> own;
+  // preprocessing is off.
+  PartitionProblem condensed;
   if (opts.preprocess) {
-    own = preprocess(p, &res.prep);
+    condensed = preprocess(p, &res.prep);
   } else {
     res.prep.vertices_before = res.prep.vertices_after = p.num_vertices();
     res.prep.edges_before = res.prep.edges_after = p.num_edges();
-    if (std::any_of(p.vertices.begin(), p.vertices.end(),
-                    [](const ProblemVertex& v) { return v.ops.empty(); })) {
-      own = p;
-      for (std::size_t v = 0; v < p.num_vertices(); ++v) {
-        if (own->vertices[v].ops.empty()) own->vertices[v].ops = {v};
-      }
-    }
   }
-  const PartitionProblem& work = own ? *own : p;
+  const PartitionProblem& work = opts.preprocess ? condensed : p;
 
   ilp::LinearProgram model = build_ilp(work, opts.formulation);
 
@@ -93,21 +80,19 @@ PartitionResult solve_partition(const PartitionProblem& p,
   res.objective = objective_of(work, ev);
 
   // Expand condensed vertices back to the caller's problem vertices.
-  // `work.vertices[i].ops` holds the ops each condensed vertex covers;
-  // for a problem built by make_problem those are original operator
-  // ids, and for a hand-built problem they are the caller's vertex ids
-  // (make_problem seeds ops = {v}).
+  // Each vertex stands for op_ids(work, i): original operator ids for a
+  // problem built by make_problem, the caller's vertex ids for a
+  // hand-built one.
   std::size_t max_op = 0;
   for (std::size_t v = 0; v < p.num_vertices(); ++v) {
-    if (p.vertices[v].ops.empty()) max_op = std::max(max_op, v + 1);
-    for (OperatorId op : p.vertices[v].ops) max_op = std::max(max_op, op + 1);
+    for (OperatorId op : op_ids(p, v)) max_op = std::max(max_op, op + 1);
   }
   const std::vector<Side> per_op =
       expand_assignment(work, work_sides, max_op);
   // Map back to p's vertex order via each vertex's first op id.
   res.sides.resize(p.num_vertices());
   for (std::size_t v = 0; v < p.num_vertices(); ++v) {
-    res.sides[v] = per_op[first_op(v)];
+    res.sides[v] = per_op[op_ids(p, v).front()];
   }
   res.node_partition_size = static_cast<std::size_t>(
       std::count(res.sides.begin(), res.sides.end(), Side::kNode));

@@ -89,8 +89,7 @@ PartitionProblem preprocess(const PartitionProblem& p,
     // Clusters are numbered by their first member in vertex order. Size
     // every cluster's name and op list first so each is built in one
     // allocation: the name is the root's followed by "+member" for the
-    // other members in vertex order. Hand-built problems may omit the op
-    // mapping; a vertex without one stands for itself.
+    // other members in vertex order, the ops are each member's op_ids.
     std::vector<std::size_t> root(n), cluster_id(n, kNone);
     std::vector<std::size_t> cluster_root, name_len, num_ops;
     cluster_root.reserve(n);
@@ -106,7 +105,7 @@ PartitionProblem preprocess(const PartitionProblem& p,
       }
       const std::size_t c = cluster_id[root[v]];
       if (v != root[v]) name_len[c] += 1 + in.vertices[v].name.size();
-      num_ops[c] += std::max<std::size_t>(in.vertices[v].ops.size(), 1);
+      num_ops[c] += op_ids(in, v).size();
     }
     const std::size_t clusters = cluster_root.size();
 
@@ -131,11 +130,8 @@ PartitionProblem preprocess(const PartitionProblem& p,
       cl.cpu += pv.cpu;
       cl.ram_bytes += pv.ram_bytes;
       cl.rom_bytes += pv.rom_bytes;
-      if (pv.ops.empty()) {
-        cl.ops.push_back(v);
-      } else {
-        cl.ops.insert(cl.ops.end(), pv.ops.begin(), pv.ops.end());
-      }
+      const OpIds ids = op_ids(in, v);
+      cl.ops.insert(cl.ops.end(), ids.begin(), ids.end());
       if (v != root[v]) cl.name.append("+").append(pv.name);
     }
 
@@ -162,10 +158,11 @@ PartitionProblem preprocess(const PartitionProblem& p,
     src = &cur;
   }
 
-  if (src == &p) {
+  if (src == &p) {  // nothing merged: the input, its op_ids spelled out
     cur = p;
     for (std::size_t v = 0; v < cur.vertices.size(); ++v) {
-      if (cur.vertices[v].ops.empty()) cur.vertices[v].ops = {v};
+      const OpIds ids = op_ids(p, v);
+      cur.vertices[v].ops.assign(ids.begin(), ids.end());
     }
   }
   if (stats != nullptr) {

@@ -160,7 +160,7 @@ std::vector<Side> expand_assignment(const PartitionProblem& p,
   WB_REQUIRE(sides.size() == p.vertices.size(), "assignment size mismatch");
   std::vector<Side> out(num_operators, Side::kServer);
   for (std::size_t v = 0; v < p.vertices.size(); ++v) {
-    for (OperatorId op : p.vertices[v].ops) {
+    for (OperatorId op : op_ids(p, v)) {
       WB_REQUIRE(op < num_operators, "operator id out of range in mapping");
       out[op] = sides[v];
     }

@@ -73,6 +73,32 @@ struct PartitionProblem {
   void check() const;
 };
 
+/// The original operators one problem vertex stands for: its `ops`, or
+/// the vertex's own id when a hand-built problem leaves `ops` empty.
+/// preprocess, solve_partition and expand_assignment all read the
+/// mapping through this view (see op_ids).
+class OpIds {
+ public:
+  OpIds(const std::vector<OperatorId>& ops, OperatorId self)
+      : ops_(&ops), self_(self) {}
+  [[nodiscard]] const OperatorId* begin() const {
+    return ops_->empty() ? &self_ : ops_->data();
+  }
+  [[nodiscard]] const OperatorId* end() const { return begin() + size(); }
+  [[nodiscard]] std::size_t size() const {
+    return ops_->empty() ? 1 : ops_->size();
+  }
+  [[nodiscard]] OperatorId front() const { return *begin(); }
+
+ private:
+  const std::vector<OperatorId>* ops_;
+  OperatorId self_;
+};
+
+[[nodiscard]] inline OpIds op_ids(const PartitionProblem& p, std::size_t v) {
+  return OpIds(p.vertices[v].ops, v);
+}
+
 /// Evaluation of a concrete assignment against a problem.
 struct AssignmentEval {
   bool respects_pins = true;
@@ -115,7 +141,8 @@ enum class LoadStatistic { kMean, kPeak };
     const profile::ProfileData& pd, const profile::PlatformModel& plat,
     double events_per_sec, LoadStatistic stat = LoadStatistic::kMean);
 
-/// Expands per-problem-vertex sides to per-original-operator sides.
+/// Expands per-problem-vertex sides to per-original-operator sides
+/// (vertex v covers op_ids(p, v)).
 [[nodiscard]] std::vector<Side> expand_assignment(
     const PartitionProblem& p, const std::vector<Side>& sides,
     std::size_t num_operators);

@@ -185,14 +185,9 @@ std::uint64_t profile_hash(const std::vector<std::int64_t>& quantized) {
   std::uint64_t lane[4] = {0x9f0f11eull, 0x2545f4914f6cdd1dull,
                            0x5851f42d4c957f2dull, 0x14057b7ef767814full};
   const std::size_t n = quantized.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    lane[0] = fold(lane[0], quantized[i]);
-    lane[1] = fold(lane[1], quantized[i + 1]);
-    lane[2] = fold(lane[2], quantized[i + 2]);
-    lane[3] = fold(lane[3], quantized[i + 3]);
+  for (std::size_t i = 0; i < n; ++i) {
+    lane[i % 4] = fold(lane[i % 4], quantized[i]);
   }
-  for (; i < n; ++i) lane[i % 4] = fold(lane[i % 4], quantized[i]);
   std::uint64_t h = n;
   for (std::uint64_t l : lane) h = fold(h, static_cast<std::int64_t>(l));
   return mix64(h);

@@ -174,6 +174,18 @@ TEST(ExpandAssignment, MapsClustersToOperators) {
   EXPECT_EQ(sides[1], Side::kServer);
 }
 
+TEST(ExpandAssignment, VertexWithoutOpsStandsForItself) {
+  PartitionProblem p;
+  p.vertices.resize(2);
+  p.vertices[1].ops = {2};
+  EXPECT_EQ(op_ids(p, 0).size(), 1u);
+  EXPECT_EQ(op_ids(p, 0).front(), 0u);
+  const auto sides = expand_assignment(p, {Side::kNode, Side::kNode}, 3);
+  EXPECT_EQ(sides[0], Side::kNode);
+  EXPECT_EQ(sides[1], Side::kServer);
+  EXPECT_EQ(sides[2], Side::kNode);
+}
+
 TEST(RandomProblemGenerator, ProducesValidInstances) {
   for (std::uint32_t seed = 1; seed <= 20; ++seed) {
     const PartitionProblem p = wbtest::random_problem(seed);
