@@ -24,7 +24,7 @@
 // load: threaded server, tight per-request deadlines, then a stop()
 // racing in-flight requests. The liveness counts (every future must
 // resolve: solved, expired, shed or shutdown — never blocked) are
-// gated hard in CI by bench/check_faults_regression.py; the latencies
+// gated hard in CI by `bench/check_bench.py faults`; the latencies
 // are report-only, the convention set by the serve and stream benches.
 //
 // Output: BENCH_faults.json in the working directory.

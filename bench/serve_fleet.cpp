@@ -18,7 +18,7 @@
 //
 // Machine-independent outputs (hit rate, hit-vs-cold speedup, allocs
 // per hit, warm-basis acceptance) are gated hard in CI by
-// bench/check_serve_regression.py; absolute throughput is report-only
+// `bench/check_bench.py serve`; absolute throughput is report-only
 // across hosts, the convention set by the Fig. 6 and stream benches.
 //
 // Runs with request tracing enabled at default sampling (1 in 1024),

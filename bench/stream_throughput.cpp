@@ -17,7 +17,7 @@
 // Absolute throughput depends on the host and is report-only (the repo
 // convention set by the Fig. 6 benches); the machine-portable outputs
 // — allocations per event and the SIMD:scalar speedup ratios — are
-// what bench/check_stream_regression.py gates in CI.
+// what `bench/check_bench.py stream` gates in CI.
 //
 // Output: BENCH_stream.json in the working directory.
 //

@@ -18,7 +18,7 @@
 // indicators whose reduced cost already closes the incumbent gap,
 // shrinking the tree.
 //
-// The search itself runs on the engine in ilp/parallel_bnb.{hpp,cpp}:
+// The search itself runs on the engine in ilp/parallel_bnb.cpp:
 // a sharded node pool with work stealing, an atomic incumbent, and
 // basis-snapshot handoff for stolen nodes. MipOptions::threads picks
 // the worker count; the serial solve is the N = 1 specialization of
@@ -149,10 +149,10 @@ struct MipResult {
   /// singular/degenerate factorization fallbacks of compatible bases.
   bool warm_basis_rejected = false;
   /// Why the inherited warm basis was not used: kShape / kStructure for
-  /// pre-flight rejections (warm_basis_rejected == true), kSingular /
-  /// kBoundsRevision when the compatible basis failed to load, kNone
-  /// when it loaded fine or none was supplied. The serve cache breaks
-  /// its warm_basis_rejected counter out by this reason.
+  /// pre-flight rejections (warm_basis_rejected == true), kSingular
+  /// when the compatible basis failed to load, kNone when it loaded
+  /// fine or none was supplied. The serve cache breaks its
+  /// warm_basis_rejected counter out by this reason.
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
   /// Re-entry telemetry summed over every worker's SimplexState: how
@@ -181,8 +181,9 @@ class BranchAndBound {
  public:
   /// Solves the MIP. The model is left untouched: node bounds live in
   /// the workers' own SimplexStates, never written back into `lp`.
-  /// Thin facade over ParallelBranchAndBound (ilp/parallel_bnb.hpp) —
-  /// opts.threads == 1 runs the identical machinery inline.
+  /// Runs the search with opts.threads workers (0 = hardware
+  /// concurrency); opts.threads == 1 runs the identical machinery
+  /// inline. Defined in ilp/parallel_bnb.cpp.
   [[nodiscard]] MipResult solve(const LinearProgram& lp,
                                 const MipOptions& opts = {}) const;
 };

@@ -1,8 +1,52 @@
-// The unified branch-and-bound engine (serial == one worker, inline).
-// Concurrency design notes live in parallel_bnb.hpp; correctness
-// arguments (why racy incumbent reads are conservative, why the
-// best-bound aggregation never loses a node) in src/ilp/README.md.
-#include "ilp/parallel_bnb.hpp"
+// Multithreaded best-first branch and bound: the one tree-search
+// implementation behind BranchAndBound::solve, at any worker count
+// (serial == one worker, run inline on the calling thread, so the
+// serial and parallel paths can never drift apart semantically).
+// Correctness arguments (why racy incumbent reads are conservative, why
+// the best-bound aggregation never loses a node) are in
+// src/ilp/README.md.
+//
+// Decomposition (mirroring how distributed Newton methods scale
+// structured optimization: independent subproblem solves coordinated
+// through a small shared state):
+//
+//  - N workers, each with a *private* SimplexState: the shared simplex
+//    state is the only contention point, resolved by giving every
+//    worker its own factorized basis.
+//  - A sharded node pool (one deterministic heap per worker) with work
+//    stealing: a worker pushes its children to its own shard (locality:
+//    the child differs from the basis it just left by one bound) and
+//    steals the best node from a sibling's shard only when its own runs
+//    dry — the diving tail where a single shard would serialize.
+//  - An atomic incumbent: pruning and reduced-cost fixing read it
+//    lock-free. Stale reads are *conservative* — the incumbent only
+//    ever decreases, so a stale (higher) value prunes and fixes less,
+//    never more. Updates re-check under a mutex.
+//  - Global best-bound aggregation: every worker publishes its
+//    in-flight node's bound under the same shard lock that pops the
+//    node, so a scan holding all shard locks (idle path only — the
+//    hot paths never take more than their own) sees every unresolved
+//    subtree. Idle workers use it to stop the whole search once the
+//    gap closes; limit-censored runs price MipResult::best_bound from
+//    the post-join open set.
+//  - Basis-snapshot handoff: when threads > 1, an expanded node
+//    attaches its parent's basis (one extract_basis, shared by both
+//    children). A worker that *steals* a node lands far from its own
+//    subtree, so it reloads the snapshot via SimplexState::load_basis
+//    — one refactorization — instead of phase-1-repairing from an
+//    unrelated stale basis. Locally popped nodes skip the reload; the
+//    warm basis in the worker's state is already a near ancestor.
+//
+// Determinism contract: identical objectives and proof outcomes at any
+// thread count (node and iteration *counts* vary with interleaving).
+// The node heaps order by bound, then depth; remaining ties resolve by
+// the heap's deterministic sift order — NOT by creation index, a
+// deliberate, measured choice (see NodeCompare below: every total tie
+// order tried cost 11–126% more LP iterations on the Fig. 6 sweep).
+// Serial runs (threads == 1, executed inline with no spawn) are
+// bit-reproducible run-to-run because their push/pop sequence, and
+// hence the heap layout, is itself deterministic.
+#include "ilp/branch_and_bound.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -740,7 +784,7 @@ class Search {
   bool warm_compatible_ = true;
   BasisRejectReason warm_reject_ = BasisRejectReason::kNone;
   /// Worker 0's load failure reason when the pre-flight passed but the
-  /// load itself did not (singular / strict bounds-revision).
+  /// load itself did not (singular).
   BasisRejectReason warm_load_reject_ = BasisRejectReason::kNone;
   /// Context of the bnb.search span; written in run() before workers
   /// spawn, read-only afterwards.
@@ -749,8 +793,8 @@ class Search {
 
 }  // namespace
 
-MipResult ParallelBranchAndBound::solve(const LinearProgram& lp,
-                                        const MipOptions& opts) const {
+MipResult BranchAndBound::solve(const LinearProgram& lp,
+                                const MipOptions& opts) const {
   std::size_t workers = opts.threads;
   if (workers == 0) {
     workers = std::max(1u, std::thread::hardware_concurrency());

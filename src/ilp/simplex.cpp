@@ -12,7 +12,6 @@ const char* basis_reject_name(BasisRejectReason reason) {
     case BasisRejectReason::kNone: return "none";
     case BasisRejectReason::kShape: return "shape";
     case BasisRejectReason::kStructure: return "structure";
-    case BasisRejectReason::kBoundsRevision: return "bounds_revision";
     case BasisRejectReason::kSingular: return "singular";
   }
   return "?";
@@ -167,7 +166,6 @@ Basis SimplexState::extract_basis() const {
   b.num_rows = m_;
   b.num_structural = n_struct_;
   b.structure_hash = structure_hash_;
-  b.bounds_revision = synced_revision_;
   return b;
 }
 
@@ -204,15 +202,6 @@ bool SimplexState::load_basis(const Basis& basis) {
   // stale-warm-basis bug this check turns into an explicit cold start.
   if (basis.stamped() && basis.structure_hash != structure_hash_) {
     last_load_reject_ = BasisRejectReason::kStructure;
-    reset();
-    return false;
-  }
-  // Opt-in strict freshness: a stamped basis extracted against an older
-  // bound revision is rejected instead of re-snapped. Default-off — the
-  // re-snap is exactly what serve-layer stale-cache re-solves want.
-  if (opts_.reject_stale_bounds && basis.stamped() &&
-      basis.bounds_revision != synced_revision_) {
-    last_load_reject_ = BasisRejectReason::kBoundsRevision;
     reset();
     return false;
   }

@@ -68,7 +68,6 @@ enum class BasisRejectReason {
   kNone,            ///< not rejected
   kShape,           ///< dimension mismatch or malformed basic set
   kStructure,       ///< stamped structure hash differs from the target
-  kBoundsRevision,  ///< stale bounds stamp (opt-in strict check)
   kSingular,        ///< refactorization of the loaded basis failed
 };
 
@@ -124,12 +123,6 @@ struct SimplexOptions {
   /// factorization better on large sparse bases, where each eta is
   /// cheap to apply but a factorization costs a full elimination).
   std::size_t refactor_interval = 0;
-  /// Strict load_basis: reject a stamped basis whose bounds_revision
-  /// differs from this state's synced revision (reported as
-  /// BasisRejectReason::kBoundsRevision). Off by default — the legacy
-  /// behavior re-snaps nonbasic variables onto the current bounds,
-  /// which serve-layer stale-cache re-solves rely on.
-  bool reject_stale_bounds = false;
 };
 
 /// A restorable snapshot of a simplex basis: the variable occupying
@@ -139,8 +132,8 @@ struct SimplexOptions {
 /// coefficients differ — loading refactorizes against the new matrix.
 ///
 /// Bases extracted by SimplexState::extract_basis carry a provenance
-/// stamp: the source model's shape, structure hash (sparsity pattern,
-/// see LinearProgram::structure_hash) and bound revision at extraction.
+/// stamp: the source model's shape and structure hash (sparsity
+/// pattern, see LinearProgram::structure_hash) at extraction.
 /// load_basis rejects a stamped basis whose structure does not match
 /// the target state — threading a basis between formulations that
 /// merely *happen* to share dimensions (a rate-search probe whose
@@ -155,12 +148,6 @@ struct Basis {
   int num_rows = 0;                    ///< m of the source model
   int num_structural = 0;              ///< n of the source model
   std::uint64_t structure_hash = 0;    ///< 0 = unstamped (hand-built)
-  /// Source model's LinearProgram::bounds_revision when extracted.
-  /// Informational: loading re-snaps nonbasic variables onto the target
-  /// state's *current* bounds, so a revision drift is survivable — but
-  /// callers chaining solves can compare it to decide whether the basis
-  /// is still fresh enough to be worth threading.
-  std::uint64_t bounds_revision = 0;
 
   [[nodiscard]] bool empty() const { return basic.empty(); }
   [[nodiscard]] bool stamped() const { return structure_hash != 0; }

@@ -28,8 +28,8 @@ SolveResponse terminal_response(ResponseSource source, CacheOutcome outcome) {
 obs::InstanceCounter PartitionServer::reject_counter(
     ilp::BasisRejectReason reason) {
   // The unlabeled series is the sum of the shape and structure series:
-  // the donors the pre-flight check refused. Singular and bounds-
-  // revision load failures count only under their own reason.
+  // the donors the pre-flight check refused. Singular load failures
+  // count only under their own reason.
   return obs::InstanceCounter(
       "wishbone_serve_warm_basis_rejected",
       {{"reason", ilp::basis_reject_name(reason)}}, obs::Registry::global(),

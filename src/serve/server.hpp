@@ -168,10 +168,9 @@ class PartitionServer {
   obs::InstanceCounter stale_resolves_{"wishbone_serve_stale_resolves"};
   obs::InstanceCounter warm_basis_used_{"wishbone_serve_warm_basis_used"};
   /// Indexed by ilp::BasisRejectReason - 1 (kNone counts nothing).
-  obs::InstanceCounter warm_basis_rejected_[4] = {
+  obs::InstanceCounter warm_basis_rejected_[3] = {
       reject_counter(ilp::BasisRejectReason::kShape),
       reject_counter(ilp::BasisRejectReason::kStructure),
-      reject_counter(ilp::BasisRejectReason::kBoundsRevision),
       reject_counter(ilp::BasisRejectReason::kSingular)};
   obs::InstanceCounter rejected_{"wishbone_serve_rejected"};
   obs::InstanceCounter shutdown_flushed_{"wishbone_serve_shutdown_flushed"};

@@ -306,7 +306,6 @@ TEST(ObsMetrics, ServeWarmBasisRejectReasonCountersExport) {
   for (const char* needle :
        {"wishbone_serve_warm_basis_rejected_total{reason=\"shape\"}",
         "wishbone_serve_warm_basis_rejected_total{reason=\"structure\"}",
-        "wishbone_serve_warm_basis_rejected_total{reason=\"bounds_revision\"}",
         "wishbone_serve_warm_basis_rejected_total{reason=\"singular\"}"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "ilp/branch_and_bound.hpp"
-#include "ilp/parallel_bnb.hpp"
 #include "lp_generators.hpp"
 
 using namespace wishbone::ilp;

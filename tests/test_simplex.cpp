@@ -417,7 +417,7 @@ TEST(BasisReject, StructureMismatchReported) {
   EXPECT_EQ(dst.solve().status, SolveStatus::kOptimal);
 }
 
-TEST(BasisReject, StaleBoundsRevisionIsOptIn) {
+TEST(BasisReject, StaleBoundsBasisLoadsAndResnaps) {
   LinearProgram lp = classic_lp();
   SimplexState src(lp, SimplexOptions{});
   ASSERT_EQ(src.solve().status, SolveStatus::kOptimal);
@@ -426,20 +426,12 @@ TEST(BasisReject, StaleBoundsRevisionIsOptIn) {
   // Bump the model's bound revision after extraction.
   lp.set_bounds(0, 0.0, 3.0);
 
-  // Default behavior: the stale basis loads and nonbasics re-snap onto
-  // the current bounds (the serve-layer stale-cache contract).
+  // The stale basis loads and nonbasics re-snap onto the current
+  // bounds (the serve-layer stale-cache contract).
   SimplexState lenient(lp, SimplexOptions{});
   EXPECT_TRUE(lenient.load_basis(b));
   EXPECT_EQ(lenient.last_load_reject(), BasisRejectReason::kNone);
   EXPECT_EQ(lenient.solve().status, SolveStatus::kOptimal);
-
-  // Opt-in strict mode rejects the same basis by revision.
-  SimplexOptions strict;
-  strict.reject_stale_bounds = true;
-  SimplexState picky(lp, strict);
-  EXPECT_FALSE(picky.load_basis(b));
-  EXPECT_EQ(picky.last_load_reject(), BasisRejectReason::kBoundsRevision);
-  EXPECT_EQ(picky.solve().status, SolveStatus::kOptimal);
 }
 
 TEST(Simplex, TelemetryPlusEqualsSumsEveryField) {
