@@ -103,11 +103,10 @@ int main() {
     opts.formulation = c.form;
     opts.warm_start = c.warm;
     if (!c.warm) {
-      // Full seed solver for the no-warm rows: cold per-node LPs with
-      // full Dantzig pricing and no reduced-cost fixing.
+      // Seed solver for the no-warm rows: cold per-node LPs and no
+      // reduced-cost fixing.
       opts.mip.warm_lp = false;
       opts.mip.reduced_cost_fixing = false;
-      opts.mip.lp.candidate_list_size = 0;
     }
     opts.mip.time_limit_s = 60.0;  // cap pathological configurations
     opts.mip.max_nodes = 400;      // equal search breadth across configs

@@ -11,11 +11,8 @@
 // The sweep size is configurable (argv[1], default 120) so the bench
 // finishes in minutes rather than hours.
 //
-// Usage: bench_fig6_solver_cdf [--engine={auto,dense,lu}] [--threads=K]
+// Usage: bench_fig6_solver_cdf [--threads=K]
 //                              [runs] [per_solve_limit_s] [max_nodes]
-//   --engine   basis factorization engine for the node LPs: "dense"
-//              (PR 1's explicit inverse), "lu" (Markowitz LU + eta
-//              file), or "auto" (default; resolve by row count).
 //   --threads  branch-and-bound workers per solve (default 1; 0 =
 //              hardware concurrency). The determinism contract holds
 //              at any K — identical objectives and proof outcomes —
@@ -42,28 +39,13 @@
 int main(int argc, char** argv) {
   using namespace wishbone;
   // Split the flags off the positional arguments.
-  ilp::BasisEngineKind engine = ilp::BasisEngineKind::kAuto;
   std::size_t threads = 1;
   std::vector<const char*> pos;
   for (int a = 1; a < argc; ++a) {
     if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       threads = static_cast<std::size_t>(std::atoll(argv[a] + 10));
-    } else if (std::strncmp(argv[a], "--engine=", 9) == 0) {
-      const char* v = argv[a] + 9;
-      if (std::strcmp(v, "dense") == 0) {
-        engine = ilp::BasisEngineKind::kDense;
-      } else if (std::strcmp(v, "lu") == 0) {
-        engine = ilp::BasisEngineKind::kLu;
-      } else if (std::strcmp(v, "auto") == 0) {
-        engine = ilp::BasisEngineKind::kAuto;
-      } else {
-        std::fprintf(stderr,
-                     "unknown engine '%s' (expected auto, dense, lu)\n", v);
-        return 1;
-      }
     } else if (std::strncmp(argv[a], "--", 2) == 0) {
-      std::fprintf(stderr, "unknown flag '%s' (expected --engine=, "
-                           "--threads=)\n",
+      std::fprintf(stderr, "unknown flag '%s' (expected --threads=)\n",
                    argv[a]);
       return 1;
     } else {
@@ -108,18 +90,8 @@ int main(int argc, char** argv) {
       point_reloads, point_idle, point_dual_reentries, point_fallbacks;
   std::size_t feasible = 0;
   std::size_t censored = 0;
-  std::size_t total_nodes = 0;
-  std::size_t total_lp_iters = 0;
-  std::size_t total_rc_fixed = 0;
-  std::size_t total_refacs = 0;
-  std::size_t total_etas = 0;
-  std::size_t eta_len_peak = 0;
-  std::size_t total_steals = 0;
-  std::size_t total_reloads = 0;
-  ilp::SimplexTelemetry total_simplex;
+  ilp::WorkerTelemetry total;  // summed over the sweep
   std::size_t threads_used = threads;
-  double total_idle_s = 0.0;
-  const char* engine_ran = ilp::engine_name(engine);
   double total_wall_s = 0.0;
   for (std::size_t i = 0; i < runs; ++i) {
     // Linear rate sweep over everything-fits ... nothing-fits. Like the
@@ -136,32 +108,20 @@ int main(int argc, char** argv) {
     prob.rom_budget = partition::kNoResourceBudget;
     partition::PartitionOptions opts;
     opts.mip.time_limit_s = per_solve_limit_s;
-    opts.mip.lp.engine = engine;
     opts.mip.threads = threads;
     if (max_nodes > 0) opts.mip.max_nodes = max_nodes;
     const auto r = partition::solve_partition(prob, opts);
-    total_nodes += r.solver.nodes_explored;
-    total_lp_iters += r.solver.lp_iterations;
-    total_rc_fixed += r.solver.vars_fixed_by_reduced_cost;
-    total_refacs += r.solver.basis_refactorizations;
-    total_etas += r.solver.eta_updates;
-    eta_len_peak = std::max(eta_len_peak, r.solver.eta_len_peak);
-    engine_ran = ilp::engine_name(r.solver.basis_engine);  // kAuto resolved
+    const ilp::WorkerTelemetry& t = r.solver.total;
+    total += t;
     point_wall.push_back(r.solver.time_total);
-    point_refacs.push_back(
-        static_cast<double>(r.solver.basis_refactorizations));
-    point_etas.push_back(static_cast<double>(r.solver.eta_updates));
-    point_steals.push_back(static_cast<double>(r.solver.steals));
-    point_reloads.push_back(static_cast<double>(r.solver.snapshot_reloads));
-    point_idle.push_back(r.solver.idle_s_total);
+    point_refacs.push_back(static_cast<double>(t.basis_refactorizations));
+    point_etas.push_back(static_cast<double>(t.eta_updates));
+    point_steals.push_back(static_cast<double>(t.steals));
+    point_reloads.push_back(static_cast<double>(t.snapshot_reloads));
+    point_idle.push_back(t.idle_s);
     point_dual_reentries.push_back(
-        static_cast<double>(r.solver.simplex.dual_reentries));
-    point_fallbacks.push_back(
-        static_cast<double>(r.solver.simplex.phase1_fallbacks));
-    total_simplex += r.solver.simplex;
-    total_steals += r.solver.steals;
-    total_reloads += r.solver.snapshot_reloads;
-    total_idle_s += r.solver.idle_s_total;
+        static_cast<double>(t.simplex.dual_reentries));
+    point_fallbacks.push_back(static_cast<double>(t.simplex.phase1_fallbacks));
     threads_used = r.solver.threads_used;  // threads=0 resolved
     total_wall_s += r.solver.time_total;
     // "Proved" = the instance was fully resolved: optimality shown or
@@ -214,51 +174,50 @@ int main(int argc, char** argv) {
   std::printf("censored instances prove slower than %.0f s each — the "
               "paper's own proof tail ran to ~12 minutes\n",
               per_solve_limit_s);
-  std::printf("\nsolver totals (%s engine, %zu thread%s): %zu B&B "
-              "nodes, %zu LP iterations, %zu reduced-cost fixings, "
-              "%.2f s wall\n",
-              engine_ran, threads_used,
-              threads_used == 1 ? "" : "s", total_nodes, total_lp_iters,
-              total_rc_fixed, total_wall_s);
+  std::printf("\nsolver totals (%zu thread%s): %zu B&B nodes, %zu LP "
+              "iterations, %zu reduced-cost fixings, %.2f s wall\n",
+              threads_used, threads_used == 1 ? "" : "s",
+              total.nodes_explored, total.lp_iterations,
+              total.vars_fixed_by_reduced_cost, total_wall_s);
   std::printf("basis engine: %zu refactorizations, %zu eta updates, "
               "eta-file peak %zu\n",
-              total_refacs, total_etas, eta_len_peak);
+              total.basis_refactorizations, total.eta_updates,
+              total.eta_len_peak);
   std::printf("re-entry: %zu dual re-entries, %zu phase-1 re-entries, "
               "%zu phase-1 fallbacks; pivots %zu primal / %zu dual\n",
-              total_simplex.dual_reentries, total_simplex.phase1_reentries,
-              total_simplex.phase1_fallbacks, total_simplex.primal_pivots,
-              total_simplex.dual_pivots);
+              total.simplex.dual_reentries, total.simplex.phase1_reentries,
+              total.simplex.phase1_fallbacks, total.simplex.primal_pivots,
+              total.simplex.dual_pivots);
   if (threads_used > 1) {
     std::printf("parallel search: %zu steals, %zu snapshot reloads, "
                 "%.2f s summed worker idle\n",
-                total_steals, total_reloads, total_idle_s);
+                total.steals, total.snapshot_reloads, total.idle_s);
   }
 
   // Machine-readable record so the solver's perf trajectory is tracked
   // across PRs (nodes / LP iterations / discover / prove / objectives).
   bench::Json j;
   j.set("bench", std::string("fig6_solver_cdf"));
-  j.set("engine", std::string(engine_ran));
   j.set("threads", threads_used);
   j.set("runs", runs);
   j.set("per_solve_limit_s", per_solve_limit_s);
   j.set("max_nodes_per_solve", max_nodes);
   j.set("feasible", feasible);
   j.set("censored_proofs", censored);
-  j.set("total_nodes", total_nodes);
-  j.set("total_lp_iterations", total_lp_iters);
-  j.set("total_rc_fixings", total_rc_fixed);
-  j.set("total_basis_refactorizations", total_refacs);
-  j.set("total_eta_updates", total_etas);
-  j.set("eta_len_peak", eta_len_peak);
-  j.set("total_dual_reentries", total_simplex.dual_reentries);
-  j.set("total_phase1_reentries", total_simplex.phase1_reentries);
-  j.set("total_phase1_fallbacks", total_simplex.phase1_fallbacks);
-  j.set("total_primal_pivots", total_simplex.primal_pivots);
-  j.set("total_dual_pivots", total_simplex.dual_pivots);
-  j.set("total_steals", total_steals);
-  j.set("total_snapshot_reloads", total_reloads);
-  j.set("total_idle_s", total_idle_s);
+  j.set("total_nodes", total.nodes_explored);
+  j.set("total_lp_iterations", total.lp_iterations);
+  j.set("total_rc_fixings", total.vars_fixed_by_reduced_cost);
+  j.set("total_basis_refactorizations", total.basis_refactorizations);
+  j.set("total_eta_updates", total.eta_updates);
+  j.set("eta_len_peak", total.eta_len_peak);
+  j.set("total_dual_reentries", total.simplex.dual_reentries);
+  j.set("total_phase1_reentries", total.simplex.phase1_reentries);
+  j.set("total_phase1_fallbacks", total.simplex.phase1_fallbacks);
+  j.set("total_primal_pivots", total.simplex.primal_pivots);
+  j.set("total_dual_pivots", total.simplex.dual_pivots);
+  j.set("total_steals", total.steals);
+  j.set("total_snapshot_reloads", total.snapshot_reloads);
+  j.set("total_idle_s", total.idle_s);
   j.set("total_wall_s", total_wall_s);
   j.set("discover_p50_s",
         discover.empty() ? -1.0 : util::percentile(discover, 50.0));

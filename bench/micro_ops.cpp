@@ -144,9 +144,8 @@ static void BM_SimplexFig3Relaxation(benchmark::State& state) {
   const auto p = apps::fig3_problem();
   const auto lp =
       partition::build_ilp(p, partition::Formulation::kRestricted);
-  ilp::SimplexSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(lp));
+    benchmark::DoNotOptimize(ilp::SimplexState(lp).solve());
   }
 }
 BENCHMARK(BM_SimplexFig3Relaxation);

@@ -8,22 +8,14 @@
 
 namespace wishbone::ilp {
 
-BasisEngineKind resolve_engine(BasisEngineKind kind, int m) {
-  if (kind != BasisEngineKind::kAuto) return kind;
-  return m < kAutoDenseCutoff ? BasisEngineKind::kDense
-                              : BasisEngineKind::kLu;
-}
-
-const char* engine_name(BasisEngineKind kind) {
-  switch (kind) {
-    case BasisEngineKind::kAuto: return "auto";
-    case BasisEngineKind::kDense: return "dense";
-    case BasisEngineKind::kLu: return "lu";
-  }
-  return "?";
-}
-
 namespace {
+
+/// Markowitz threshold stability: |pivot| >= tau * max|row|.
+constexpr double kMarkowitzTau = 0.05;
+/// Eta entries below this magnitude are dropped.
+constexpr double kEtaDrop = 1e-14;
+/// Smallest |w_r| / max|w| an eta update accepts (the drift guard).
+constexpr double kEtaStab = 1e-7;
 
 // ---------------------------------------------------------------- dense
 
@@ -33,10 +25,7 @@ namespace {
 /// against.
 class DenseBasisEngine final : public BasisEngine {
  public:
-  DenseBasisEngine(int m, const BasisEngineOptions& opts)
-      : m_(m), opts_(opts) {
-    set_identity();
-  }
+  explicit DenseBasisEngine(int m) : m_(m) { set_identity(); }
 
   [[nodiscard]] BasisEngineKind kind() const override {
     return BasisEngineKind::kDense;
@@ -61,7 +50,7 @@ class DenseBasisEngine final : public BasisEngine {
     set_identity();
     for (int col = 0; col < m_; ++col) {
       int piv = -1;
-      double best = opts_.pivot_eps;
+      double best = kPivotEps;
       for (int r = col; r < m_; ++r) {
         const double a = std::fabs(B[static_cast<std::size_t>(r) * m_ + col]);
         if (a > best) {
@@ -140,7 +129,7 @@ class DenseBasisEngine final : public BasisEngine {
     // Elementary row update: eliminate the entering column from all
     // other rows of the inverse.
     const double piv = w[leave_row];
-    WB_ASSERT_MSG(std::fabs(piv) > opts_.pivot_eps, "degenerate pivot");
+    WB_ASSERT_MSG(std::fabs(piv) > kPivotEps, "degenerate pivot");
     for (int c = 0; c < m_; ++c) at(leave_row, c) /= piv;
     for (int k = 0; k < m_; ++k) {
       if (k == leave_row || std::fabs(w[k]) < 1e-14) continue;
@@ -159,7 +148,6 @@ class DenseBasisEngine final : public BasisEngine {
   }
 
   const int m_;
-  const BasisEngineOptions opts_;
   std::vector<double> binv_;
   std::vector<double> b_scratch_;
   mutable std::vector<double> scratch_;
@@ -192,7 +180,7 @@ class DenseBasisEngine final : public BasisEngine {
 /// and the caller refactorizes from the new basis instead.
 class LuBasisEngine final : public BasisEngine {
  public:
-  LuBasisEngine(int m, const BasisEngineOptions& opts) : m_(m), opts_(opts) {
+  LuBasisEngine(int m, std::size_t max_eta) : m_(m), max_eta_(max_eta) {
     p_.resize(m_);
     q_.resize(m_);
     diag_.resize(m_);
@@ -293,21 +281,21 @@ class LuBasisEngine final : public BasisEngine {
 
   [[nodiscard]] bool update(int leave_row,
                             const std::vector<double>& w) override {
-    if (etas_.size() >= opts_.max_eta) return false;  // file full
+    if (etas_.size() >= max_eta_) return false;  // file full
     double wmax = 0.0;
     for (double v : w) wmax = std::max(wmax, std::fabs(v));
     const double wr = w[leave_row];
     // Drift guard: a pivot tiny relative to the direction it came from
     // would amplify error through every later eta application.
-    if (std::fabs(wr) <= opts_.pivot_eps ||
-        std::fabs(wr) < opts_.eta_stab * wmax) {
+    if (std::fabs(wr) <= kPivotEps ||
+        std::fabs(wr) < kEtaStab * wmax) {
       return false;
     }
     Eta e;
     e.r = leave_row;
     e.wr = wr;
     for (int i = 0; i < m_; ++i) {
-      if (i != leave_row && std::fabs(w[i]) > opts_.eta_drop) {
+      if (i != leave_row && std::fabs(w[i]) > kEtaDrop) {
         e.w.emplace_back(i, w[i]);
       }
     }
@@ -326,7 +314,7 @@ class LuBasisEngine final : public BasisEngine {
   };
 
   const int m_;
-  const BasisEngineOptions opts_;
+  const std::size_t max_eta_;  ///< refactorize when the eta file is full
 
   // Factorization, pivot order k = 0..m-1 (original indices; the pivot
   // orders p_/q_ replace explicit permutation matrices).
@@ -409,7 +397,7 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
     }
     // A tiny singleton is left to the threshold-tested Markowitz phase,
     // which declares the basis singular if nothing better turns up.
-    if (std::fabs(apiv) <= opts_.pivot_eps) continue;
+    if (std::fabs(apiv) <= kPivotEps) continue;
     urows_[k].clear();
     for (const auto& [j, v] : rows_[pi]) {
       if (j == pj) continue;
@@ -460,9 +448,9 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
         for (const auto& [j, v] : rows_[i]) {
           rowmax = std::max(rowmax, std::fabs(v));
         }
-        if (rowmax <= opts_.pivot_eps) return false;  // singular row
+        if (rowmax <= kPivotEps) return false;  // singular row
         const double thresh =
-            std::max(opts_.markowitz_tau * rowmax, opts_.pivot_eps);
+            std::max(kMarkowitzTau * rowmax, kPivotEps);
         for (const auto& [j, v] : rows_[i]) {
           const double a = std::fabs(v);
           if (a < thresh) continue;
@@ -564,13 +552,11 @@ bool LuBasisEngine::factorize(const std::vector<SparseColumn>& cols,
 }  // namespace
 
 std::unique_ptr<BasisEngine> make_basis_engine(BasisEngineKind kind, int m,
-                                               const BasisEngineOptions& opts) {
-  switch (resolve_engine(kind, m)) {
-    case BasisEngineKind::kLu:
-      return std::make_unique<LuBasisEngine>(m, opts);
-    default:
-      return std::make_unique<DenseBasisEngine>(m, opts);
+                                               std::size_t max_eta) {
+  if (kind == BasisEngineKind::kDense) {
+    return std::make_unique<DenseBasisEngine>(m);
   }
+  return std::make_unique<LuBasisEngine>(m, max_eta);
 }
 
 }  // namespace wishbone::ilp

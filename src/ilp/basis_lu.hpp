@@ -7,26 +7,25 @@
 //   ftran       x = B^-1 a            (pivot directions, basic values)
 //   btran       y = B^-T c            (duals / pricing)
 //   btran_unit  rho = B^-T e_r        (row r of B^-1: the dual simplex
-//               pivot row and the steepest-edge row norms)
+//               pivot row)
 //   update      absorb one pivot: column `leave_row` of B replaced by
 //               the entering column whose FTRAN image is `w`
 //
-// Two engines implement this contract:
+// `LuBasisEngine` is the engine every solve runs on: a sparse LU
+// factorization — column singletons first, then Markowitz pivoting
+// (fill-minimizing merit, threshold stability) on the rest — plus a
+// product-form eta file. Each pivot appends one sparse eta vector
+// instead of touching m^2 entries, and the factorization is rebuilt
+// only when the eta file hits `max_eta` or a pivot is too unstable to
+// absorb (update() returns false and the caller refactorizes). Solves
+// cost O(nnz(L)+nnz(U)+nnz(etas)).
 //
-//  - `DenseBasisEngine` maintains an explicit dense m x m inverse by
-//    Gauss-Jordan (the PR 1 solver). O(m^2) per pivot and per solve,
-//    O(m^3) per refactorization — exact reference implementation.
-//  - `LuBasisEngine` keeps a sparse LU factorization — column
-//    singletons first, then Markowitz pivoting (fill-minimizing merit,
-//    threshold stability) on the rest — plus a product-form eta file: each pivot appends one sparse eta
-//    vector instead of touching m^2 entries, and the factorization is
-//    rebuilt only when the eta file hits `max_eta` or a pivot is too
-//    unstable to absorb (update() returns false and the caller
-//    refactorizes). Solves cost O(nnz(L)+nnz(U)+nnz(etas)).
-//
-// The engines are numerically interchangeable; the randomized
-// differential harness (tests/test_lp_differential.cpp) pits them
-// against each other on thousands of generated LPs/MIPs.
+// `DenseBasisEngine` maintains an explicit dense m x m inverse by
+// Gauss-Jordan (the PR 1 solver): O(m^2) per pivot and per solve,
+// O(m^3) per refactorization. It is the test oracle — the randomized
+// differential harness (tests/test_lp_differential.cpp) selects it with
+// `kDense` and pits it against the LU engine on thousands of generated
+// LPs/MIPs.
 #pragma once
 
 #include <cstddef>
@@ -40,19 +39,14 @@ namespace wishbone::ilp {
 using SparseColumn = std::vector<std::pair<int, double>>;
 
 enum class BasisEngineKind {
-  kAuto,   ///< resolve by row count: dense for small m, LU otherwise
-  kDense,  ///< explicit dense inverse (PR 1 reference path)
-  kLu,     ///< Markowitz sparse LU + eta-file updates
+  kLu,     ///< Markowitz sparse LU + eta-file updates (every solve)
+  kDense,  ///< explicit dense inverse (the differential-test oracle)
 };
 
-/// kAuto picks the dense engine strictly below this many rows; at this
-/// size and above the sparse LU's per-pivot advantage dominates the
-/// permutation/scatter overhead.
-inline constexpr int kAutoDenseCutoff = 48;
-
-[[nodiscard]] BasisEngineKind resolve_engine(BasisEngineKind kind, int m);
-
-[[nodiscard]] const char* engine_name(BasisEngineKind kind);
+/// Smallest pivot magnitude the engines and the simplex ratio tests
+/// admit; anything below is treated as zero (a singular basis in
+/// factorize(), a non-blocking row in a ratio test).
+inline constexpr double kPivotEps = 1e-9;
 
 struct BasisEngineStats {
   std::size_t refactorizations = 0;  ///< full factorizations performed
@@ -60,14 +54,6 @@ struct BasisEngineStats {
   std::size_t eta_len = 0;           ///< current eta-file length
   std::size_t eta_len_peak = 0;      ///< longest eta file ever held
   std::size_t factor_nnz = 0;        ///< nnz(L)+nnz(U) of the last LU
-};
-
-struct BasisEngineOptions {
-  double pivot_eps = 1e-9;      ///< singularity threshold in factorize()
-  double markowitz_tau = 0.05;  ///< stability: |pivot| >= tau * row max
-  std::size_t max_eta = 64;     ///< refactorize when the eta file is full
-  double eta_drop = 1e-14;      ///< eta entries below this are dropped
-  double eta_stab = 1e-7;       ///< min |w_r| / max|w| for an eta update
 };
 
 class BasisEngine {
@@ -114,8 +100,10 @@ class BasisEngine {
   BasisEngineStats stats_;
 };
 
-/// Creates an engine for an m-row basis; kAuto is resolved here.
+/// Creates an engine for an m-row basis. The LU engine declines
+/// update() once its eta file holds `max_eta` pivots (the dense engine
+/// has no eta file and ignores it).
 [[nodiscard]] std::unique_ptr<BasisEngine> make_basis_engine(
-    BasisEngineKind kind, int m, const BasisEngineOptions& opts = {});
+    BasisEngineKind kind, int m, std::size_t max_eta = 64);
 
 }  // namespace wishbone::ilp

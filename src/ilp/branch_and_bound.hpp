@@ -25,6 +25,7 @@
 // the same pool machinery (inline on the calling thread, no spawn).
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -36,28 +37,20 @@
 namespace wishbone::ilp {
 
 struct MipOptions {
-  double int_tol = 1e-6;        ///< integrality tolerance on LP solutions
-  double gap_abs = 1e-9;        ///< prune when bound >= incumbent - gap
-  /// Relative optimality gap: nodes within gap_rel * |incumbent| of the
-  /// incumbent are pruned (lp_solve-style MIP gap; keeps proof times
-  /// sane on instances with many near-optimal cuts).
-  double gap_rel = 1e-6;
   double time_limit_s = kInf;   ///< wall-clock budget
   std::size_t max_nodes = 1'000'000;
-  bool depth_first = false;     ///< default: best-bound-first
   SimplexOptions lp;            ///< options for per-node LP solves
   /// Optional feasible starting point (e.g. from a rounding heuristic);
   /// installed as the incumbent at time zero if it checks out.
   std::optional<std::vector<double>> warm_start;
   /// Optional primal heuristic: called with the fractional LP solution
-  /// of shallow nodes (depth <= rounding_depth); may return a candidate
-  /// integral assignment, which is installed as the incumbent when it
-  /// is feasible and improving. Lets callers plug domain rounding (the
-  /// partitioner's threshold cut) without an extra LP solve.
+  /// of every node; may return a candidate integral assignment, which
+  /// is installed as the incumbent when it is feasible and improving.
+  /// Lets callers plug domain rounding (the partitioner's threshold
+  /// cut) without an extra LP solve.
   std::function<std::optional<std::vector<double>>(
       const std::vector<double>&)>
       rounding_hook;
-  std::size_t rounding_depth = 1;
   /// Warm-started node LPs: reuse one SimplexState for every node,
   /// re-entering from the previous node's basis. false restores the
   /// seed behavior (every node LP cold-starts from the crash basis) —
@@ -107,6 +100,32 @@ struct WorkerTelemetry {
   /// Wall-clock seconds spent waiting for work (empty pools).
   double idle_s = 0.0;
   std::size_t vars_fixed_by_reduced_cost = 0;
+  /// Basis-engine telemetry of the worker's SimplexState: how often
+  /// the basis was refactorized, how many pivots the eta file
+  /// absorbed, and its peak length.
+  std::size_t basis_refactorizations = 0;
+  std::size_t eta_updates = 0;
+  std::size_t eta_len_peak = 0;
+  /// Re-entry telemetry of the worker's SimplexState: how node
+  /// re-solves restored feasibility (dual simplex vs composite phase
+  /// 1), how often a warm re-entry fell back to phase 1, and the primal
+  /// / dual pivot counts.
+  SimplexTelemetry simplex;
+
+  /// Sums every counter; eta_len_peak takes the maximum.
+  WorkerTelemetry& operator+=(const WorkerTelemetry& o) {
+    nodes_explored += o.nodes_explored;
+    lp_iterations += o.lp_iterations;
+    steals += o.steals;
+    snapshot_reloads += o.snapshot_reloads;
+    idle_s += o.idle_s;
+    vars_fixed_by_reduced_cost += o.vars_fixed_by_reduced_cost;
+    basis_refactorizations += o.basis_refactorizations;
+    eta_updates += o.eta_updates;
+    eta_len_peak = std::max(eta_len_peak, o.eta_len_peak);
+    simplex += o.simplex;
+    return *this;
+  }
 };
 
 struct MipResult {
@@ -115,6 +134,8 @@ struct MipResult {
   std::vector<double> x;           ///< incumbent assignment
   bool has_incumbent = false;
   double best_bound = -kInf;       ///< proven lower bound at termination
+  /// The headline counters. nodes_explored is the search's node-budget
+  /// count; both equal their sums in `total`.
   std::size_t nodes_explored = 0;
   std::size_t lp_iterations = 0;
 
@@ -127,17 +148,6 @@ struct MipResult {
   /// Basis of the shared simplex state at termination; thread it into
   /// MipOptions::warm_basis of the next structurally identical solve.
   Basis final_basis;
-  /// Variables pinned by reduced-cost fixing across the whole search.
-  std::size_t vars_fixed_by_reduced_cost = 0;
-
-  /// Basis-engine telemetry of the shared simplex state: which engine
-  /// ran (kAuto resolved), how often the basis was refactorized, how
-  /// many pivots the eta file absorbed, and its peak length. Dense
-  /// engine: eta fields stay 0.
-  BasisEngineKind basis_engine = BasisEngineKind::kDense;
-  std::size_t basis_refactorizations = 0;
-  std::size_t eta_updates = 0;
-  std::size_t eta_len_peak = 0;
   /// True when MipOptions::warm_basis was present, well-shaped, and
   /// factorized cleanly (false = the solve fell back to a cold basis).
   bool warm_basis_loaded = false;
@@ -155,21 +165,13 @@ struct MipResult {
   /// warm_basis_rejected counter out by this reason.
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
-  /// Re-entry telemetry summed over every worker's SimplexState: how
-  /// node re-solves restored feasibility (dual simplex vs composite
-  /// phase 1), how often a warm re-entry had to fall back to phase 1,
-  /// and the primal / dual pivot counts.
-  SimplexTelemetry simplex;
-
   /// Parallel-search telemetry: the worker count the solve actually ran
   /// with (MipOptions::threads == 0 resolved), one entry per worker,
-  /// and the cross-worker totals. Serial solves: threads_used == 1,
-  /// steals == snapshot_reloads == 0.
+  /// and their sum. Serial solves: threads_used == 1,
+  /// total.steals == total.snapshot_reloads == 0.
   std::size_t threads_used = 1;
   std::vector<WorkerTelemetry> workers;
-  std::size_t steals = 0;
-  std::size_t snapshot_reloads = 0;
-  double idle_s_total = 0.0;
+  WorkerTelemetry total;
 
   /// Absolute optimality gap at termination (0 when proved optimal).
   [[nodiscard]] double gap() const {

@@ -53,7 +53,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,6 +67,19 @@
 namespace wishbone::ilp {
 
 namespace {
+
+/// Integrality tolerance on LP solutions.
+constexpr double kIntTol = 1e-6;
+/// Pruning gap: a node is pruned when its bound comes within
+/// max(kGapAbs, kGapRel * |incumbent|) of the incumbent (an
+/// lp_solve-style MIP gap; keeps proof times sane on instances with
+/// many near-optimal cuts).
+constexpr double kGapAbs = 1e-9;
+constexpr double kGapRel = 1e-6;
+
+double prune_margin(double incumbent) {
+  return std::max(kGapAbs, kGapRel * std::fabs(incumbent));
+}
 
 /// One bound change: variable `var` restricted to [lo, up].
 struct BoundDelta {
@@ -90,9 +102,6 @@ struct Node {
   std::shared_ptr<const DeltaLink> chain;  ///< null = root bounds
   double parent_bound = -kInf;  ///< LP bound of the parent (for pruning)
   std::size_t depth = 0;
-  /// Global creation index: the exact LIFO key in depth-first mode and
-  /// the run-to-run-stable identity of a node in either mode.
-  std::uint64_t seq = 0;
   /// Basis of the parent LP that spawned this node (threads > 1 only;
   /// shared by both siblings). A stealing worker reloads it instead of
   /// phase-1-repairing from whatever unrelated basis it last held.
@@ -104,20 +113,17 @@ struct Node {
 /// remaining ties resolve by the heap's deterministic sift order —
 /// push/pop sequences are identical run to run in serial, so serial
 /// walks are bit-reproducible, and parallel runs only promise
-/// objective reproducibility anyway. Depth-first is an exact LIFO on
-/// the creation index (the PR 1 stack semantics).
+/// objective reproducibility anyway.
 ///
-/// A *total* order on (bound, depth, seq) was measured and rejected:
-/// the Fig. 6 EEG instances are so degenerate that most of the tree
-/// ties on (bound, depth), and every pure tie policy loses badly
+/// A *total* order on (bound, depth, creation index) was measured and
+/// rejected: the Fig. 6 EEG instances are so degenerate that most of
+/// the tree ties on (bound, depth), and every pure tie policy loses badly
 /// against the heap's mixed order on the 16-point node-budget sweep —
 /// oldest-first 617k LP iterations, dive-preferred-first 676k,
 /// splitmix-shuffled 905k, newest-first 1.26M, vs 556k for heap-order
 /// ties (which reproduces the PR 2 snapshot bit-for-bit).
 struct NodeCompare {
-  bool depth_first;
   bool operator()(const Node& a, const Node& b) const {
-    if (depth_first) return a.seq < b.seq;
     if (a.parent_bound != b.parent_bound) {
       return a.parent_bound > b.parent_bound;
     }
@@ -157,7 +163,7 @@ class Search {
  public:
   Search(const LinearProgram& lp, const MipOptions& opts, int num_workers)
       : lp_(lp), opts_(opts), num_workers_(num_workers),
-        cmp_{opts.depth_first}, n_(lp.num_variables()) {
+        n_(lp.num_variables()) {
     // Pre-flight the inherited basis once, not once per worker: a
     // basis threaded in from a previous solve (rate-search probe,
     // partition-server cache neighbor) is only loadable when the
@@ -181,7 +187,7 @@ class Search {
     }
     inflight_ = std::make_unique<PaddedBound[]>(num_workers_);
     tels_.resize(num_workers_);
-    exits_.resize(num_workers_);
+    final_bases_.resize(num_workers_);
   }
 
   MipResult run() {
@@ -197,7 +203,7 @@ class Search {
     if (opts_.warm_start) {
       WB_REQUIRE(static_cast<int>(opts_.warm_start->size()) == n_,
                  "warm start has wrong dimension");
-      if (lp_.max_violation(*opts_.warm_start) <= opts_.int_tol) {
+      if (lp_.max_violation(*opts_.warm_start) <= kIntTol) {
         std::vector<double> x0 = *opts_.warm_start;
         const double obj = lp_.objective_value(x0);
         try_update_incumbent(std::move(x0), obj, /*node=*/0, /*worker=*/0);
@@ -205,7 +211,7 @@ class Search {
     }
 
     // Root node seeds shard 0; idle workers steal it (or its children).
-    push(/*shard=*/0, Node{nullptr, -kInf, 0, seq_.fetch_add(1), nullptr});
+    push(/*shard=*/0, Node{nullptr, -kInf, 0, nullptr});
 
     if (num_workers_ == 1) {
       run_worker(0);  // serial specialization: inline, no spawn
@@ -221,15 +227,10 @@ class Search {
     search_span.finish();
 
     res.time_total = clock_.elapsed_seconds();
-    res.nodes_explored = nodes_explored_.load();
-    for (const WorkerTelemetry& t : tels_) {
-      res.lp_iterations += t.lp_iterations;
-      res.vars_fixed_by_reduced_cost += t.vars_fixed_by_reduced_cost;
-      res.steals += t.steals;
-      res.snapshot_reloads += t.snapshot_reloads;
-      res.idle_s_total += t.idle_s;
-    }
-    res.workers = tels_;
+    for (const WorkerTelemetry& t : tels_) res.total += t;
+    res.nodes_explored = nodes_explored_.load();  // the node-budget count
+    res.lp_iterations = res.total.lp_iterations;
+    res.workers = std::move(tels_);
 
     res.has_incumbent = has_inc_;
     if (has_inc_) {
@@ -241,7 +242,7 @@ class Search {
     res.time_to_best_incumbent = t_best_;
 
     const int basis_from = has_inc_ && inc_worker_ >= 0 ? inc_worker_ : 0;
-    res.final_basis = std::move(exits_[basis_from].final_basis);
+    res.final_basis = std::move(final_bases_[basis_from]);
     res.warm_basis_loaded = warm_loaded_;
     res.warm_basis_rejected =
         opts_.warm_basis && !opts_.warm_basis->empty() && !warm_compatible_;
@@ -253,13 +254,6 @@ class Search {
     } else if (opts_.warm_basis && !opts_.warm_basis->empty() &&
                !warm_loaded_) {
       res.warm_basis_reject_reason = warm_load_reject_;
-    }
-    res.basis_engine = exits_[0].engine;
-    for (const WorkerExit& e : exits_) {
-      res.basis_refactorizations += e.refactorizations;
-      res.eta_updates += e.eta_updates;
-      res.eta_len_peak = std::max(res.eta_len_peak, e.eta_len_peak);
-      res.simplex += e.tel;
     }
 
     // Proven lower bound: the least bound among unexplored nodes (no
@@ -312,13 +306,13 @@ class Search {
     solves->inc();
     nodes->inc(res.nodes_explored);
     lp_iters->inc(res.lp_iterations);
-    steals->inc(res.steals);
-    reloads->inc(res.snapshot_reloads);
-    refactors->inc(res.basis_refactorizations);
+    steals->inc(res.total.steals);
+    reloads->inc(res.total.snapshot_reloads);
+    refactors->inc(res.total.basis_refactorizations);
     if (res.warm_basis_rejected) warm_rejected->inc();
-    reentries_dual->inc(res.simplex.dual_reentries);
-    reentries_phase1->inc(res.simplex.phase1_reentries);
-    fallbacks->inc(res.simplex.phase1_fallbacks);
+    reentries_dual->inc(res.total.simplex.dual_reentries);
+    reentries_phase1->inc(res.total.simplex.phase1_reentries);
+    fallbacks->inc(res.total.simplex.phase1_fallbacks);
   }
 
   /// Worker-private solving context: the whole point of the design is
@@ -341,7 +335,7 @@ class Search {
     {
       std::lock_guard<std::mutex> lk(s.mu);
       s.heap.push_back(std::move(nd));
-      std::push_heap(s.heap.begin(), s.heap.end(), cmp_);
+      std::push_heap(s.heap.begin(), s.heap.end(), NodeCompare{});
     }
     // The idle wakeup has no consumer in a serial solve (the inline
     // worker never waits) — skip it on the default threads=1 path.
@@ -355,7 +349,7 @@ class Search {
     Shard& s = *shards_[shard];
     std::lock_guard<std::mutex> lk(s.mu);
     if (s.heap.empty()) return std::nullopt;
-    std::pop_heap(s.heap.begin(), s.heap.end(), cmp_);
+    std::pop_heap(s.heap.begin(), s.heap.end(), NodeCompare{});
     Node nd = std::move(s.heap.back());
     s.heap.pop_back();
     open_.fetch_sub(1);
@@ -427,7 +421,7 @@ class Search {
   bool try_update_incumbent(std::vector<double> x, double obj,
                             std::size_t node, int worker) {
     std::lock_guard<std::mutex> lk(inc_mu_);
-    if (has_inc_ && !(obj < inc_obj_ - opts_.gap_abs)) return false;
+    if (has_inc_ && !(obj < inc_obj_ - kGapAbs)) return false;
     inc_obj_ = obj;
     incumbent_.store(obj);
     inc_x_ = std::move(x);
@@ -499,9 +493,7 @@ class Search {
       // of waiting for each node to be popped and pruned one by one.
       const double inc = incumbent_.load();
       if (std::isfinite(inc)) {
-        const double margin =
-            std::max(opts_.gap_abs, opts_.gap_rel * std::fabs(inc));
-        if (global_best_bound() >= inc - margin) {
+        if (global_best_bound() >= inc - prune_margin(inc)) {
           stop_.store(true);
           notify_all_idle();
           return std::nullopt;
@@ -522,9 +514,7 @@ class Search {
     // (higher) incumbent read prunes *less* — conservative, so racy
     // lock-free reads are sound here and in the fixing pass below.
     const double inc0 = incumbent_.load();
-    const double prune_margin =
-        std::max(opts_.gap_abs, opts_.gap_rel * std::fabs(inc0));
-    if (nd.parent_bound >= inc0 - prune_margin) {
+    if (nd.parent_bound >= inc0 - prune_margin(inc0)) {
       complete(w);
       return;
     }
@@ -574,10 +564,7 @@ class Search {
     double lp_cutoff = kInf;
     {
       const double inc0 = incumbent_.load();
-      if (std::isfinite(inc0)) {
-        lp_cutoff = inc0 - std::max(opts_.gap_abs,
-                                    opts_.gap_rel * std::fabs(inc0));
-      }
+      if (std::isfinite(inc0)) lp_cutoff = inc0 - prune_margin(inc0);
     }
     const LpSolution rel = ctx.state.solve(lp_cutoff);
     tel.lp_iterations += rel.iterations;
@@ -597,12 +584,12 @@ class Search {
       return;
     }
 
-    // Primal rounding heuristic on shallow nodes (must be reentrant
-    // when threads > 1 — see MipOptions::threads).
-    if (opts_.rounding_hook && nd.depth <= opts_.rounding_depth) {
+    // Primal rounding heuristic on every node (must be reentrant when
+    // threads > 1 — see MipOptions::threads).
+    if (opts_.rounding_hook) {
       if (auto cand = opts_.rounding_hook(rel.x)) {
         if (static_cast<int>(cand->size()) == n_ &&
-            lp_.max_violation(*cand) <= opts_.int_tol) {
+            lp_.max_violation(*cand) <= kIntTol) {
           const double obj = lp_.objective_value(*cand);
           try_update_incumbent(std::move(*cand), obj, node_idx, w);
         }
@@ -612,14 +599,13 @@ class Search {
     // (Re)read the incumbent: the hook (or another worker) may have
     // tightened it while the LP was solving.
     const double inc1 = incumbent_.load();
-    const double node_margin =
-        std::max(opts_.gap_abs, opts_.gap_rel * std::fabs(inc1));
+    const double node_margin = prune_margin(inc1);
     if (rel.objective >= inc1 - node_margin) {
       complete(w);
       return;
     }
 
-    const int branch = pick_branch_var(lp_, rel.x, opts_.int_tol);
+    const int branch = pick_branch_var(lp_, rel.x, kIntTol);
     if (branch < 0) {
       // Integral: new incumbent.
       std::vector<double> xi = rel.x;
@@ -649,12 +635,12 @@ class Search {
         if (!lp_.is_integer(v)) continue;
         const double lo = ctx.state.lower(v);
         const double up = ctx.state.upper(v);
-        if (lo == up || up - lo < 1.0 - opts_.int_tol) continue;
+        if (lo == up || up - lo < 1.0 - kIntTol) continue;
         if (std::floor(lo) != lo || std::floor(up) != up) continue;
-        if (rc[v] > 0.0 && rel.x[v] <= lo + opts_.int_tol &&
+        if (rc[v] > 0.0 && rel.x[v] <= lo + kIntTol &&
             rel.objective + rc[v] >= cutoff) {
           fixings.push_back({v, lo, lo});
-        } else if (rc[v] < 0.0 && rel.x[v] >= up - opts_.int_tol &&
+        } else if (rc[v] < 0.0 && rel.x[v] >= up - kIntTol &&
                    rel.objective - rc[v] >= cutoff) {
           fixings.push_back({v, up, up});
         }
@@ -680,21 +666,10 @@ class Search {
       link->deltas.push_back({branch, lo, up});
       return link;
     };
-    Node down{extend(ctx.state.lower(branch), std::floor(xb)), rel.objective,
-              nd.depth + 1, 0, snap};
-    Node up{extend(std::ceil(xb), ctx.state.upper(branch)), rel.objective,
-            nd.depth + 1, 0, snap};
-    if (opts_.depth_first && xb - std::floor(xb) > 0.5) {
-      // Dive toward the side nearest the LP value: the favored child
-      // gets the larger creation index, so the LIFO order pops it first.
-      down.seq = seq_.fetch_add(1);
-      up.seq = seq_.fetch_add(1);
-    } else {
-      up.seq = seq_.fetch_add(1);
-      down.seq = seq_.fetch_add(1);
-    }
-    push(w, std::move(down));
-    push(w, std::move(up));
+    push(w, Node{extend(ctx.state.lower(branch), std::floor(xb)),
+                 rel.objective, nd.depth + 1, snap});
+    push(w, Node{extend(std::ceil(xb), ctx.state.upper(branch)),
+                 rel.objective, nd.depth + 1, snap});
     complete(w);
   }
 
@@ -719,18 +694,17 @@ class Search {
       if (!nd) break;
       process(w, ctx, std::move(*nd), stolen, tel);
     }
-    exits_[w] = WorkerExit{ctx.state.extract_basis(),
-                           ctx.state.basis_stats().refactorizations,
-                           ctx.state.basis_stats().eta_updates,
-                           ctx.state.basis_stats().eta_len_peak,
-                           ctx.state.engine_kind(),
-                           ctx.state.telemetry()};
+    const BasisEngineStats& bs = ctx.state.basis_stats();
+    tel.basis_refactorizations = bs.refactorizations;
+    tel.eta_updates = bs.eta_updates;
+    tel.eta_len_peak = bs.eta_len_peak;
+    tel.simplex = ctx.state.telemetry();
+    final_bases_[w] = ctx.state.extract_basis();
   }
 
   const LinearProgram& lp_;
   const MipOptions& opts_;
   const int num_workers_;
-  const NodeCompare cmp_;
   const int n_;
   util::Stopwatch clock_;
 
@@ -746,7 +720,6 @@ class Search {
   /// resolve_limit() distinguishes "censored, nodes left behind" from
   /// "in-flight tail may still exhaust the tree" with it.
   std::atomic<std::size_t> open_{0};
-  std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::size_t> nodes_explored_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> hit_limit_{false};
@@ -767,19 +740,10 @@ class Search {
   double t_best_ = -1.0;
   std::vector<IncumbentRecord> records_;
 
-  /// What a worker leaves behind when it exits: one slot per worker,
-  /// written only by that worker, read after join().
-  struct WorkerExit {
-    Basis final_basis;
-    std::size_t refactorizations = 0;
-    std::size_t eta_updates = 0;
-    std::size_t eta_len_peak = 0;
-    BasisEngineKind engine = BasisEngineKind::kDense;
-    SimplexTelemetry tel;
-  };
-
+  /// One slot per worker, written only by that worker, read after
+  /// join(): its counters and the basis its state held on exit.
   std::vector<WorkerTelemetry> tels_;
-  std::vector<WorkerExit> exits_;
+  std::vector<Basis> final_bases_;
   bool warm_loaded_ = false;
   bool warm_compatible_ = true;
   BasisRejectReason warm_reject_ = BasisRejectReason::kNone;

@@ -7,6 +7,17 @@
 
 namespace wishbone::ilp {
 
+namespace {
+
+constexpr std::size_t kMaxIterations = 200'000;
+/// Feasibility / reduced-cost tolerance.
+constexpr double kEps = 1e-7;
+/// Partial pricing: the full scan keeps this many runners-up as the
+/// candidate list the next pivots price first.
+constexpr std::size_t kCandidateListSize = 64;
+
+}  // namespace
+
 const char* basis_reject_name(BasisRejectReason reason) {
   switch (reason) {
     case BasisRejectReason::kNone: return "none";
@@ -19,7 +30,7 @@ const char* basis_reject_name(BasisRejectReason reason) {
 
 SimplexState::SimplexState(const LinearProgram& lp,
                            const SimplexOptions& opts)
-    : opts_(opts), n_struct_(lp.num_variables()),
+    : n_struct_(lp.num_variables()),
       m_(lp.num_constraints()), structure_hash_(lp.structure_hash()),
       synced_revision_(lp.bounds_revision()) {
   const int n_total = n_struct_ + m_;
@@ -60,15 +71,13 @@ SimplexState::SimplexState(const LinearProgram& lp,
     up_[slack] = (c.rel == Relation::kEq) ? 0.0 : kInf;
   }
 
-  BasisEngineOptions bopts;
-  bopts.pivot_eps = opts_.pivot_eps;
-  bopts.max_eta =
-      opts_.refactor_interval != 0
-          ? opts_.refactor_interval
+  const std::size_t max_eta =
+      opts.refactor_interval != 0
+          ? opts.refactor_interval
           : std::max<std::size_t>(
                 64, std::min<std::size_t>(512,
                                           static_cast<std::size_t>(m_) / 4));
-  engine_ = make_basis_engine(opts_.engine, m_, bopts);
+  engine_ = make_basis_engine(opts.engine, m_, max_eta);
 
   reset();
 }
@@ -240,8 +249,8 @@ bool SimplexState::load_basis(const Basis& basis) {
 }
 
 double SimplexState::phase1_cost(int var) const {
-  if (x_[var] > up_[var] + opts_.eps) return 1.0;
-  if (x_[var] < lo_[var] - opts_.eps) return -1.0;
+  if (x_[var] > up_[var] + kEps) return 1.0;
+  if (x_[var] < lo_[var] - kEps) return -1.0;
   return 0.0;
 }
 
@@ -286,14 +295,14 @@ double SimplexState::reduced_cost_of(int j, bool phase1,
 double SimplexState::entering_sigma(int j, double d) const {
   const bool is_free = !std::isfinite(lo_[j]) && !std::isfinite(up_[j]);
   if (is_free) {
-    if (d < -opts_.eps) return 1.0;
-    if (d > opts_.eps) return -1.0;
+    if (d < -kEps) return 1.0;
+    if (d > kEps) return -1.0;
     return 0.0;
   }
   if (at_upper_[j]) {
-    return (d > opts_.eps) ? -1.0 : 0.0;  // decreasing reduces cost
+    return (d > kEps) ? -1.0 : 0.0;  // decreasing reduces cost
   }
-  return (d < -opts_.eps) ? 1.0 : 0.0;    // increasing reduces cost
+  return (d < -kEps) ? 1.0 : 0.0;    // increasing reduces cost
 }
 
 const std::vector<double>& SimplexState::reduced_costs() const {
@@ -338,7 +347,7 @@ LpSolution SimplexState::solve(double cutoff) {
   // loop finished clean).
   const bool crash = crash_basis_;
   crash_basis_ = false;
-  if (!crash && total_infeasibility() > opts_.eps) {
+  if (!crash && total_infeasibility() > kEps) {
     if (dual_feasible()) {
       ++tel_.dual_reentries;
       sol.dual_reentry = true;
@@ -356,7 +365,7 @@ LpSolution SimplexState::solve(double cutoff) {
           // off on bound noise alone.
           if (std::isfinite(cutoff)) {
             const double slack =
-                10.0 * opts_.eps * (1.0 + std::fabs(cutoff));
+                10.0 * kEps * (1.0 + std::fabs(cutoff));
             double z = 0.0;
             for (int j = 0; j < n_struct_; ++j) z += cost_[j] * x_[j];
             if (z >= cutoff + slack) {
@@ -395,12 +404,12 @@ LpSolution SimplexState::solve(double cutoff) {
       ++tel_.phase1_fallbacks;
     }
   }
-  if (total_infeasibility() > opts_.eps) ++tel_.phase1_reentries;
+  if (total_infeasibility() > kEps) ++tel_.phase1_reentries;
 
   // Phase 1: drive basic-variable bound violations to zero, starting
   // from whatever basis this state currently holds (warm re-entry after
   // bound edits, an inherited basis, or the cold crash basis).
-  while (total_infeasibility() > opts_.eps) {
+  while (total_infeasibility() > kEps) {
     const StepOutcome oc = iterate(/*phase1=*/true);
     if (oc == StepOutcome::kNoDirection) {
       sol.status = SolveStatus::kInfeasible;
@@ -445,7 +454,7 @@ LpSolution SimplexState::solve(double cutoff) {
 }
 
 SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
-  if (iters_ >= opts_.max_iterations) return StepOutcome::kIterLimit;
+  if (iters_ >= kMaxIterations) return StepOutcome::kIterLimit;
   ++iters_;
 
   compute_duals(phase1, y_scratch_);
@@ -462,7 +471,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   double enter_sigma = 0.0;
   // Dantzig scores: -|d|, smaller is better, and only a score below
   // -eps (a reduced cost past the tolerance) is worth a pivot.
-  double best_score = -opts_.eps;
+  double best_score = -kEps;
 
   if (bland) {
     for (int j = 0; j < n_total; ++j) {
@@ -506,12 +515,11 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
           enter = j;
           enter_sigma = sigma;
         }
-        if (opts_.candidate_list_size > 0) eligible.emplace_back(score, j);
+        eligible.emplace_back(score, j);
       }
       candidates_.clear();
-      if (enter != -1 && opts_.candidate_list_size > 0) {
-        const std::size_t keep =
-            std::min(opts_.candidate_list_size, eligible.size());
+      if (enter != -1) {
+        const std::size_t keep = std::min(kCandidateListSize, eligible.size());
         std::partial_sort(eligible.begin(), eligible.begin() + keep,
                           eligible.end());
         for (std::size_t i = 0; i < keep; ++i) {
@@ -541,19 +549,19 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   }
   for (int k = 0; k < m_; ++k) {
     const double delta = enter_sigma * w[k];  // rate of decrease of xB_k
-    if (std::fabs(delta) < opts_.pivot_eps) continue;
+    if (std::fabs(delta) < kPivotEps) continue;
     const int v = basic_[k];
     const double xv = x_[v];
     double t = kInf;
     double bound = 0.0;
-    if (phase1 && xv > up_[v] + opts_.eps) {
+    if (phase1 && xv > up_[v] + kEps) {
       // Infeasible above: only a downward move blocks, at the upper
       // bound (first slope change of the phase-1 cost).
       if (delta > 0) {
         bound = up_[v];
         t = (xv - bound) / delta;
       }
-    } else if (phase1 && xv < lo_[v] - opts_.eps) {
+    } else if (phase1 && xv < lo_[v] - kEps) {
       if (delta < 0) {
         bound = lo_[v];
         t = (xv - bound) / delta;
@@ -573,8 +581,8 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
     // Strict improvement takes the block; on (near-)ties prefer the
     // smallest leaving variable index for determinism and as the
     // Bland anti-cycling tie-break.
-    const bool tie = leave_row >= 0 && std::fabs(t - t_max) <= opts_.eps;
-    if (t < t_max - opts_.pivot_eps ||
+    const bool tie = leave_row >= 0 && std::fabs(t - t_max) <= kEps;
+    if (t < t_max - kPivotEps ||
         (tie && v < basic_[leave_row])) {
       t_max = t;
       leave_row = k;
@@ -585,7 +593,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
 
   if (!std::isfinite(t_max)) return StepOutcome::kUnbounded;
 
-  degenerate_run_ = (t_max <= opts_.eps) ? degenerate_run_ + 1 : 0;
+  degenerate_run_ = (t_max <= kEps) ? degenerate_run_ + 1 : 0;
 
   // Apply the step.
   x_[enter] += enter_sigma * t_max;
@@ -613,7 +621,7 @@ SimplexState::StepOutcome SimplexState::iterate(bool phase1) {
   // update; LU: append an eta vector). The engine declines when its
   // eta file is full or the pivot is too unstable to chain — then a
   // fresh factorization of the *new* basis replaces the whole file.
-  WB_ASSERT_MSG(std::fabs(w[leave_row]) > opts_.pivot_eps,
+  WB_ASSERT_MSG(std::fabs(w[leave_row]) > kPivotEps,
                 "degenerate pivot");
   if (!engine_->update(leave_row, w)) {
     if (!engine_->factorize(cols_, basic_)) {
@@ -658,9 +666,9 @@ bool SimplexState::dual_feasible() {
     const double d = reduced_cost_of(j, /*phase1=*/false, y_scratch_);
     const bool is_free = !std::isfinite(lo_[j]) && !std::isfinite(up_[j]);
     if (is_free) {
-      if (std::fabs(d) > opts_.eps) ok = false;
+      if (std::fabs(d) > kEps) ok = false;
     } else if (at_upper_[j]) {
-      if (d > opts_.eps) {
+      if (d > kEps) {
         if (!std::isfinite(lo_[j])) {
           ok = false;
         } else {
@@ -670,7 +678,7 @@ bool SimplexState::dual_feasible() {
         }
       }
     } else {
-      if (d < -opts_.eps) {
+      if (d < -kEps) {
         if (!std::isfinite(up_[j])) {
           ok = false;
         } else {
@@ -689,7 +697,7 @@ bool SimplexState::dual_feasible() {
 }
 
 SimplexState::StepOutcome SimplexState::dual_iterate() {
-  if (iters_ >= opts_.max_iterations) return StepOutcome::kIterLimit;
+  if (iters_ >= kMaxIterations) return StepOutcome::kIterLimit;
   ++iters_;
 
   // --- Leaving row: the largest bound violation (Bland regime:
@@ -703,7 +711,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
     const double above = x_[v] - up_[v];
     const double below = lo_[v] - x_[v];
     const double infeas = std::max(above, below);
-    if (infeas <= opts_.eps) continue;
+    if (infeas <= kEps) continue;
     if (bland) {
       if (leave_row < 0 || v < basic_[leave_row]) {
         leave_row = k;
@@ -744,7 +752,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
     double alpha = 0.0;
     for (const auto& [row, coeff] : cols_[j]) alpha += rho[row] * coeff;
     const double abar = dir * alpha;
-    if (std::fabs(abar) <= opts_.pivot_eps) continue;
+    if (std::fabs(abar) <= kPivotEps) continue;
     const bool is_free = !std::isfinite(lo_[j]) && !std::isfinite(up_[j]);
     if (!is_free && (at_upper_[j] ? (abar > 0.0) : (abar < 0.0))) continue;
     const double d = reduced_cost_of(j, /*phase1=*/false, y);
@@ -781,7 +789,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
       const double span = up_[c.j] - lo_[c.j];
       if (!std::isfinite(span)) break;
       const double absorb = std::fabs(c.abar) * span;
-      if (absorb >= delta_rem - opts_.eps) break;
+      if (absorb >= delta_rem - kEps) break;
       flip_scratch_.push_back(c.j);
       delta_rem -= absorb;
       ++pick;
@@ -807,7 +815,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
     double theta_h = kInf;
     for (std::size_t q = pick; q < dual_cands_.size(); ++q) {
       const double cap =
-          dual_cands_[q].theta + opts_.eps / std::fabs(dual_cands_[q].abar);
+          dual_cands_[q].theta + kEps / std::fabs(dual_cands_[q].abar);
       if (cap < theta_h) theta_h = cap;
     }
     double best_abar = 0.0;
@@ -848,7 +856,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   std::vector<double>& w = w_scratch_;
   engine_->ftran(cols_[enter], w);
   const double alpha_q = w[leave_row];
-  if (std::fabs(alpha_q) <= opts_.pivot_eps ||
+  if (std::fabs(alpha_q) <= kPivotEps ||
       alpha_q * (dir * chosen.abar) <= 0.0) {
     if (!engine_->factorize(cols_, basic_)) {
       reset();
@@ -858,7 +866,7 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
     return StepOutcome::kNumericalTrouble;
   }
 
-  degenerate_run_ = (chosen.theta <= opts_.eps && flip_scratch_.empty())
+  degenerate_run_ = (chosen.theta <= kEps && flip_scratch_.empty())
                         ? degenerate_run_ + 1
                         : 0;
 
@@ -884,13 +892,6 @@ SimplexState::StepOutcome SimplexState::dual_iterate() {
   ++tel_.dual_pivots;
   if (iters_ % 512 == 0) recompute_basic_values();
   return StepOutcome::kPivoted;
-}
-
-LpSolution SimplexSolver::solve(const LinearProgram& lp,
-                                const SimplexOptions& opts) const {
-  WB_REQUIRE(lp.num_variables() > 0, "LP has no variables");
-  SimplexState state(lp, opts);
-  return state.solve();
 }
 
 }  // namespace wishbone::ilp

@@ -1,7 +1,7 @@
-// Bounded-variable revised Simplex — primal and dual — over a
-// pluggable basis engine (ilp/basis_lu.hpp): an explicit dense inverse
-// for small bases, or a Markowitz sparse LU with eta-file updates for
-// large ones.
+// Bounded-variable revised Simplex — primal and dual — over the
+// Markowitz sparse-LU basis engine with eta-file updates
+// (ilp/basis_lu.hpp). Tests swap in the dense explicit-inverse engine
+// as the oracle the LU engine is checked against.
 //
 // This is the LP engine underneath branch and bound, standing in for
 // lp_solve's Simplex (§4.2.1 footnote 3). Integrality markers on the
@@ -106,18 +106,9 @@ struct SimplexTelemetry {
 };
 
 struct SimplexOptions {
-  std::size_t max_iterations = 200'000;
-  double eps = 1e-7;          ///< feasibility / reduced-cost tolerance
-  double pivot_eps = 1e-9;    ///< minimum admissible pivot magnitude
-  /// Partial (candidate-list) pricing: cap on the list of attractive
-  /// columns kept between pivots. 0 disables the list, so every
-  /// iteration prices all n+m columns (the pre-warm-start behavior).
-  std::size_t candidate_list_size = 64;
-  /// Basis factorization engine. kAuto resolves by row count (dense
-  /// below kAutoDenseCutoff rows, Markowitz LU + eta file at or above);
-  /// kDense / kLu force one engine, which the randomized differential
-  /// harness uses to pit the two against each other.
-  BasisEngineKind engine = BasisEngineKind::kAuto;
+  /// Basis factorization engine. Every solve runs on kLu; the
+  /// randomized differential tests select kDense as their oracle.
+  BasisEngineKind engine = BasisEngineKind::kLu;
   /// LU engine: refactorize once the eta file holds this many pivots.
   /// 0 = auto (max(64, min(512, m/4)) — longer files amortize the
   /// factorization better on large sparse bases, where each eta is
@@ -239,7 +230,7 @@ class SimplexState {
   /// branch and bound for reduced-cost variable fixing.
   [[nodiscard]] const std::vector<double>& reduced_costs() const;
 
-  /// The basis engine actually in use (kAuto resolved at construction).
+  /// The basis engine in use.
   [[nodiscard]] BasisEngineKind engine_kind() const {
     return engine_->kind();
   }
@@ -287,7 +278,6 @@ class SimplexState {
   [[nodiscard]] bool dual_feasible();
   void snap_nonbasic(int j);
 
-  const SimplexOptions opts_;
   const int n_struct_;
   const int m_;
   const std::uint64_t structure_hash_;  ///< of the model built from
@@ -322,16 +312,6 @@ class SimplexState {
   BasisRejectReason last_load_reject_ = BasisRejectReason::kNone;
   std::size_t iters_ = 0;      ///< iterations of the current solve()
   int degenerate_run_ = 0;
-};
-
-/// Stateless facade: one-shot solve of the LP relaxation (builds a
-/// fresh SimplexState internally). Kept for callers that do not reuse
-/// solver state.
-class SimplexSolver {
- public:
-  /// Solves the LP relaxation of `lp` over its current variable bounds.
-  [[nodiscard]] LpSolution solve(const LinearProgram& lp,
-                                 const SimplexOptions& opts = {}) const;
 };
 
 }  // namespace wishbone::ilp

@@ -1,7 +1,6 @@
 #include "partition/partitioner.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "ilp/simplex.hpp"
 #include "util/assert.hpp"
@@ -34,23 +33,21 @@ PartitionResult solve_partition(const PartitionProblem& p,
 
   ilp::MipOptions mip = opts.mip;
   if (opts.warm_start && opts.formulation == Formulation::kRestricted) {
-    // Threshold-round shallow LP relaxations into feasible cuts inside
-    // branch and bound (no extra LP solve needed: the root relaxation
+    // Threshold-round every node's LP relaxation into a feasible cut
+    // inside branch and bound (no extra LP solve needed: the relaxation
     // is already computed there). The root basis that produced the
     // rounded incumbent stays live in the solver's shared SimplexState,
     // so every subsequent node LP warm-starts from it — the rounding
-    // warm start and the basis warm start ride the same relaxation.
+    // warm start and the basis warm start ride the same relaxation. A
+    // threshold sweep costs O(V+E) per distinct f value — noise next to
+    // the node LP — and the EEG instances' deep nodes yield cuts the
+    // root relaxation never suggests. Better incumbents also feed the
+    // solver's reduced-cost fixing, which needs a tight cutoff to fire.
     mip.rounding_hook =
         [&work](const std::vector<double>& lp_x)
         -> std::optional<std::vector<double>> {
       return threshold_round(work, lp_x);
     };
-    // Round every node's relaxation, not just shallow ones: a threshold
-    // sweep costs O(V+E) per distinct f value — noise next to the node
-    // LP — and the EEG instances' deep nodes yield cuts the root
-    // relaxation never suggests. Better incumbents also feed the
-    // solver's reduced-cost fixing, which needs a tight cutoff to fire.
-    mip.rounding_depth = std::numeric_limits<std::size_t>::max();
   }
   // opts.warm_start only governs the rounding hook; the solver knobs
   // (warm_lp, reduced_cost_fixing, warm_basis) stay whatever

@@ -172,8 +172,7 @@ TEST(Formulation, GeneralHandlesBackwardFlow) {
 TEST(ThresholdRound, MonotoneRelaxationRoundsFeasibly) {
   const PartitionProblem p = apps::fig3_problem();
   const auto lp = build_ilp(p, Formulation::kRestricted);
-  ilp::SimplexSolver simplex;
-  const auto relax = simplex.solve(lp);
+  const auto relax = ilp::SimplexState(lp).solve();
   ASSERT_EQ(relax.status, ilp::SolveStatus::kOptimal);
   const auto rounded = threshold_round(p, relax.x);
   ASSERT_TRUE(rounded.has_value());

@@ -45,6 +45,10 @@ using testgen::grid_nz;
 
 // ------------------------------------------------------- the oracle
 
+const char* engine_name(BasisEngineKind kind) {
+  return kind == BasisEngineKind::kDense ? "dense" : "lu";
+}
+
 SimplexOptions engine_opts(BasisEngineKind kind) {
   SimplexOptions o;
   o.engine = kind;
@@ -64,9 +68,9 @@ std::string describe(const LpSolution& s) {
 /// Solves `lp` with both engines and asserts full agreement.
 void expect_engines_agree(const LinearProgram& lp, const std::string& label) {
   const LpSolution dense =
-      SimplexSolver().solve(lp, engine_opts(BasisEngineKind::kDense));
+      SimplexState(lp, engine_opts(BasisEngineKind::kDense)).solve();
   const LpSolution lu =
-      SimplexSolver().solve(lp, engine_opts(BasisEngineKind::kLu));
+      SimplexState(lp, engine_opts(BasisEngineKind::kLu)).solve();
   ASSERT_EQ(dense.status, lu.status)
       << label << "\ndense: " << describe(dense) << "\nlu: " << describe(lu)
       << "\n" << lp.to_text();
@@ -117,17 +121,17 @@ TEST(LpDifferential, PartitionShapedLps) {
 }
 
 TEST(LpDifferential, PartitionShapedLpsAtLuSize) {
-  // The partition formulation at the size where kAuto picks LU: 3-4
-  // dense knapsack rows over n = 64..200 indicators plus ~n monotone
-  // rows. Its bases are nearly triangular, so every refactorization
-  // runs mostly through the column-singleton pass.
+  // The partition formulation at production size: 3-4 dense knapsack
+  // rows over n = 64..200 indicators plus ~n monotone rows. Its bases
+  // are nearly triangular, so every refactorization runs mostly
+  // through the column-singleton pass.
   const int trials = std::max(diff_trials() / 8, 10);
   for (int t = 0; t < trials; ++t) {
     const std::uint32_t seed = 5000u + static_cast<std::uint32_t>(t);
     const int n = 64 + static_cast<int>(seed % 137);
     const LinearProgram lp =
         gen_partition_shaped(seed, /*integral=*/false, n, 3 + t % 2);
-    ASSERT_GE(lp.num_constraints(), kAutoDenseCutoff);
+    ASSERT_GE(lp.num_constraints(), 48);
     expect_engines_agree(lp, "partition_lu seed=" + std::to_string(seed));
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -173,7 +177,7 @@ TEST(LpDifferential, DriftedLoadedBasesAgreeWithColdOracle) {
       const LinearProgram next = drifted(lp, s);
       ASSERT_EQ(next.structure_hash(), lp.structure_hash());
       const LpSolution ref =
-          SimplexSolver().solve(next, engine_opts(BasisEngineKind::kDense));
+          SimplexState(next, engine_opts(BasisEngineKind::kDense)).solve();
       for (BasisEngineKind kind :
            {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
         const std::string label = std::string(engine_name(kind)) +
@@ -196,8 +200,8 @@ TEST(LpDifferential, DriftedLoadedBasesAgreeWithColdOracle) {
 }
 
 TEST(LpDifferential, SingularLoadedBasesAreRejected) {
-  // An LU-size model (m >= kAutoDenseCutoff) with three planted
-  // dependencies, one per place a factorization can find it:
+  // A 52-row model with three planted dependencies, one per place a
+  // factorization can find it:
   //  - x0 lives only in row 0, so with row 0's slack basic two basic
   //    columns share one row: the singleton pass empties a column;
   //  - x1 and x2 are proportional in rows 1-2: a singular 2x2 bump
@@ -205,7 +209,7 @@ TEST(LpDifferential, SingularLoadedBasesAreRejected) {
   //  - x3 has no nonzero coefficient: an empty basis column.
   // Each basis must be rejected as kSingular by both engines, and the
   // state must fall back to the crash basis and still solve.
-  const int m = kAutoDenseCutoff + 4;
+  const int m = 52;
   LinearProgram lp;
   for (int v = 0; v < m; ++v) {
     lp.add_variable("x" + std::to_string(v), 0.0, 1.0, -1.0 - 0.01 * v,
@@ -227,7 +231,7 @@ TEST(LpDifferential, SingularLoadedBasesAreRejected) {
     lp.add_constraint(std::move(c));
   }
   const LpSolution ref =
-      SimplexSolver().solve(lp, engine_opts(BasisEngineKind::kDense));
+      SimplexState(lp, engine_opts(BasisEngineKind::kDense)).solve();
   ASSERT_EQ(ref.status, SolveStatus::kOptimal);
 
   auto slack_basis = [&] {
@@ -321,11 +325,11 @@ TEST(LpDifferential, WarmReentryChainsAgree) {
         edited.set_bounds(v, b, b);
       }
       const LpSolution ref =
-          SimplexSolver().solve(edited, engine_opts(BasisEngineKind::kDense));
+          SimplexState(edited, engine_opts(BasisEngineKind::kDense)).solve();
       for (SimplexState& s : warm) {
         const BasisEngineKind engine = s.engine_kind();
         const LpSolution cold =
-            SimplexSolver().solve(edited, engine_opts(engine));
+            SimplexState(edited, engine_opts(engine)).solve();
         const LpSolution got = s.solve();
         for (const LpSolution* sol : {&cold, &got}) {
           const std::string label =
@@ -364,8 +368,8 @@ TEST(LpDifferential, WarmReentryChainsAgree) {
 // ----------------------------- medium instances (real eta/refactor use)
 
 TEST(LpDifferential, MediumSparseLpsExerciseRefactorization) {
-  // Large enough that kAuto itself would pick LU and the eta file
-  // cycles through several refactorizations per solve.
+  // Large enough that the eta file cycles through several
+  // refactorizations per solve.
   const int trials = std::max(diff_trials() / 20, 5);
   for (int t = 0; t < trials; ++t) {
     const std::uint32_t seed = 31000u + static_cast<std::uint32_t>(t);
@@ -424,8 +428,7 @@ TEST(BasisEngineUnit, LuUpdateDeclinesUnstablePivot) {
   // |w_r| tiny relative to max|w|: absorbing this pivot as an eta
   // would amplify error through every later solve — the engine must
   // decline and force a refactorization.
-  const BasisEngineOptions opts;
-  auto eng = make_basis_engine(BasisEngineKind::kLu, 3, opts);
+  auto eng = make_basis_engine(BasisEngineKind::kLu, 3);
   std::vector<SparseColumn> cols = {
       {{0, 1.0}}, {{1, 1.0}}, {{2, 1.0}}};
   ASSERT_TRUE(eng->factorize(cols, {0, 1, 2}));
@@ -437,9 +440,7 @@ TEST(BasisEngineUnit, LuUpdateDeclinesUnstablePivot) {
 }
 
 TEST(BasisEngineUnit, LuUpdateDeclinesWhenEtaFileFull) {
-  BasisEngineOptions opts;
-  opts.max_eta = 2;
-  auto eng = make_basis_engine(BasisEngineKind::kLu, 2, opts);
+  auto eng = make_basis_engine(BasisEngineKind::kLu, 2, /*max_eta=*/2);
   std::vector<SparseColumn> cols = {{{0, 1.0}}, {{1, 1.0}}};
   ASSERT_TRUE(eng->factorize(cols, {0, 1}));
   const std::vector<double> w = {1.0, 0.25};
@@ -454,7 +455,7 @@ TEST(BasisEngineUnit, LuUpdateDeclinesWhenEtaFileFull) {
 TEST(BasisEngineUnit, FactorizeRejectsSingularBasis) {
   for (BasisEngineKind kind :
        {BasisEngineKind::kDense, BasisEngineKind::kLu}) {
-    auto eng = make_basis_engine(kind, 2, {});
+    auto eng = make_basis_engine(kind, 2);
     // Columns 0 and 1 are linearly dependent.
     std::vector<SparseColumn> cols = {{{0, 1.0}, {1, 2.0}},
                                       {{0, 2.0}, {1, 4.0}},
@@ -464,15 +465,25 @@ TEST(BasisEngineUnit, FactorizeRejectsSingularBasis) {
   }
 }
 
-TEST(BasisEngineUnit, AutoResolvesByRowCount) {
-  EXPECT_EQ(resolve_engine(BasisEngineKind::kAuto, kAutoDenseCutoff - 1),
-            BasisEngineKind::kDense);
-  EXPECT_EQ(resolve_engine(BasisEngineKind::kAuto, kAutoDenseCutoff),
-            BasisEngineKind::kLu);
-  EXPECT_EQ(resolve_engine(BasisEngineKind::kDense, 10000),
-            BasisEngineKind::kDense);
-  EXPECT_EQ(resolve_engine(BasisEngineKind::kLu, 1),
-            BasisEngineKind::kLu);
+TEST(BasisEngineUnit, SmallModelsSolveOnLuByDefault) {
+  // Small models, like the 8-row speech partition ILPs, must factor
+  // with LU under default options: the engine reports kLu and a
+  // multi-pivot solve absorbs its pivots as eta updates, which the
+  // dense engine never records.
+  const LinearProgram lp = gen_partition_shaped(77, /*integral=*/false, 8);
+  ASSERT_LT(lp.num_constraints(), 48);
+  SimplexState state(lp);
+  EXPECT_EQ(state.engine_kind(), BasisEngineKind::kLu);
+  const LpSolution sol = state.solve();
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  ASSERT_GT(sol.iterations, 1u);
+  EXPECT_GT(state.basis_stats().eta_updates, 0u);
+
+  const LpSolution ref =
+      SimplexState(lp, engine_opts(BasisEngineKind::kDense)).solve();
+  ASSERT_EQ(ref.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, ref.objective,
+              1e-6 * std::max(1.0, std::fabs(ref.objective)));
 }
 
 TEST(BasisEngineUnit, FtranBtranMatchDenseOnRandomBases) {
@@ -493,8 +504,8 @@ TEST(BasisEngineUnit, FtranBtranMatchDenseOnRandomBases) {
     std::vector<int> basic(m);
     for (int i = 0; i < m; ++i) basic[i] = i;
 
-    auto dense = make_basis_engine(BasisEngineKind::kDense, m, {});
-    auto lu = make_basis_engine(BasisEngineKind::kLu, m, {});
+    auto dense = make_basis_engine(BasisEngineKind::kDense, m);
+    auto lu = make_basis_engine(BasisEngineKind::kLu, m);
     ASSERT_TRUE(dense->factorize(cols, basic));
     ASSERT_TRUE(lu->factorize(cols, basic));
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -27,10 +26,9 @@ using testgen::diff_trials;
 using testgen::gen_market_split;
 using testgen::gen_partition_shaped;
 
-MipOptions with_threads(std::size_t threads, bool depth_first = false) {
+MipOptions with_threads(std::size_t threads) {
   MipOptions o;
   o.threads = threads;
-  o.depth_first = depth_first;
   // Short eta file: the stolen-node snapshot reloads then exercise the
   // full refactorization cycle, like the dense-vs-LU harness does.
   o.lp.refactor_interval = 16;
@@ -65,9 +63,9 @@ void check_telemetry_consistency(const MipResult& r, std::size_t threads,
   }
   EXPECT_EQ(nodes, r.nodes_explored) << label;
   EXPECT_EQ(iters, r.lp_iterations) << label;
-  EXPECT_EQ(steals, r.steals) << label;
-  EXPECT_EQ(reloads, r.snapshot_reloads) << label;
-  EXPECT_EQ(fixed, r.vars_fixed_by_reduced_cost) << label;
+  EXPECT_EQ(steals, r.total.steals) << label;
+  EXPECT_EQ(reloads, r.total.snapshot_reloads) << label;
+  EXPECT_EQ(fixed, r.total.vars_fixed_by_reduced_cost) << label;
   EXPECT_LE(reloads, steals) << label
                              << ": reloads only ever happen on steals";
 }
@@ -88,8 +86,8 @@ TEST(ParallelBnb, SerialIsBitReproducible) {
     EXPECT_EQ(a.objective, b.objective) << "seed=" << seed;  // bitwise
     EXPECT_EQ(a.best_bound, b.best_bound) << "seed=" << seed;
     EXPECT_EQ(a.incumbents.size(), b.incumbents.size()) << "seed=" << seed;
-    EXPECT_EQ(a.steals, 0u);
-    EXPECT_EQ(a.snapshot_reloads, 0u);
+    EXPECT_EQ(a.total.steals, 0u);
+    EXPECT_EQ(a.total.snapshot_reloads, 0u);
   }
 }
 
@@ -132,21 +130,6 @@ TEST(ParallelBnb, MatchesSerialOnMarketSplitMips) {
   }
 }
 
-TEST(ParallelBnb, DepthFirstMatchesSerial) {
-  const int trials = std::max(diff_trials() / 32, 8);
-  for (int t = 0; t < trials; ++t) {
-    const std::uint32_t seed = 9400u + static_cast<std::uint32_t>(t);
-    const LinearProgram lp = gen_partition_shaped(seed, /*integral=*/true);
-    const MipResult serial =
-        BranchAndBound().solve(lp, with_threads(1, /*depth_first=*/true));
-    const MipResult par =
-        BranchAndBound().solve(lp, with_threads(4, /*depth_first=*/true));
-    expect_same_answer(serial, par, lp,
-                       "depth-first seed=" + std::to_string(seed));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
 TEST(ParallelBnb, ColdLpModeMatchesSerial) {
   // warm_lp = false (the seed-solver ablation) must stay correct in
   // parallel too: no snapshots ride along, every node LP cold-starts.
@@ -160,7 +143,7 @@ TEST(ParallelBnb, ColdLpModeMatchesSerial) {
     const MipResult par = BranchAndBound().solve(lp, par_opts);
     expect_same_answer(serial, par, lp,
                        "cold seed=" + std::to_string(seed));
-    EXPECT_EQ(par.snapshot_reloads, 0u) << "no snapshots in cold mode";
+    EXPECT_EQ(par.total.snapshot_reloads, 0u) << "no snapshots in cold mode";
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -186,7 +169,6 @@ TEST(ParallelBnb, IncumbentStressFromAllWorkers) {
       << "no generated instance produced a tree of >= 100 nodes";
 
   MipOptions opts = with_threads(8);
-  opts.rounding_depth = std::numeric_limits<std::size_t>::max();
   opts.rounding_hook = [](const std::vector<double>& x)
       -> std::optional<std::vector<double>> {
     // Pure (thread-safe) hook: naive rounding; the solver re-checks
@@ -230,16 +212,15 @@ TEST(ParallelBnb, StealsAndSnapshotReloadsHappen) {
   // Force interleaving on any core count: every node briefly blocks
   // its worker, so the siblings it just pushed are up for grabs while
   // the others run — steals (and their snapshot reloads) must occur.
-  opts.rounding_depth = std::numeric_limits<std::size_t>::max();
   opts.rounding_hook = [](const std::vector<double>&)
       -> std::optional<std::vector<double>> {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return std::nullopt;
   };
   const MipResult par = BranchAndBound().solve(*chosen, opts);
-  EXPECT_GE(par.steals, 1u) << "no worker ever stole — the pool "
-                               "sharding is not shedding work";
-  EXPECT_GE(par.snapshot_reloads, 1u)
+  EXPECT_GE(par.total.steals, 1u) << "no worker ever stole — the pool "
+                                     "sharding is not shedding work";
+  EXPECT_GE(par.total.snapshot_reloads, 1u)
       << "stolen nodes never reloaded their basis snapshot";
   ASSERT_EQ(par.workers.size(), 4u);
   std::size_t workers_that_worked = 0;

@@ -24,7 +24,7 @@ TEST(Simplex, UnconstrainedBoxMinimum) {
   LinearProgram lp;
   (void)lp.add_variable("x", 0.0, 4.0, 2.0, false);
   (void)lp.add_variable("y", 0.0, 5.0, -3.0, false);
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, -15.0, 1e-6);
   EXPECT_NEAR(sol.x[0], 0.0, 1e-6);
@@ -40,7 +40,7 @@ TEST(Simplex, ClassicTwoVariableLp) {
   lp.add_constraint(make({{x, 1.0}}, Relation::kLe, 4.0));
   lp.add_constraint(make({{y, 2.0}}, Relation::kLe, 12.0));
   lp.add_constraint(make({{x, 3.0}, {y, 2.0}}, Relation::kLe, 18.0));
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, -36.0, 1e-6);
   EXPECT_NEAR(sol.x[0], 2.0, 1e-6);
@@ -52,7 +52,7 @@ TEST(Simplex, GeConstraintNeedsPhaseOne) {
   LinearProgram lp;
   const int x = lp.add_variable("x", 0.0, 10.0, 1.0, false);
   lp.add_constraint(make({{x, 1.0}}, Relation::kGe, 3.0));
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 3.0, 1e-6);
 }
@@ -63,7 +63,7 @@ TEST(Simplex, EqualityConstraint) {
   const int x = lp.add_variable("x", 0.0, 3.0, 1.0, false);
   const int y = lp.add_variable("y", 0.0, 3.0, 1.0, false);
   lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kEq, 4.0));
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 4.0, 1e-6);
   EXPECT_NEAR(sol.x[0] + sol.x[1], 4.0, 1e-6);
@@ -75,21 +75,21 @@ TEST(Simplex, DetectsInfeasible) {
   const int x = lp.add_variable("x", 0.0, 10.0, 1.0, false);
   lp.add_constraint(make({{x, 1.0}}, Relation::kLe, 1.0));
   lp.add_constraint(make({{x, 1.0}}, Relation::kGe, 2.0));
-  EXPECT_EQ(SimplexSolver().solve(lp).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(SimplexState(lp).solve().status, SolveStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsInfeasibleBoundsVsEquality) {
   LinearProgram lp;
   const int x = lp.add_variable("x", 0.0, 1.0, 0.0, false);
   lp.add_constraint(make({{x, 1.0}}, Relation::kEq, 5.0));
-  EXPECT_EQ(SimplexSolver().solve(lp).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(SimplexState(lp).solve().status, SolveStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
   // min -x with x >= 0 unbounded above.
   LinearProgram lp;
   (void)lp.add_variable("x", 0.0, kInf, -1.0, false);
-  EXPECT_EQ(SimplexSolver().solve(lp).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(SimplexState(lp).solve().status, SolveStatus::kUnbounded);
 }
 
 TEST(Simplex, FixedVariablesRespected) {
@@ -97,7 +97,7 @@ TEST(Simplex, FixedVariablesRespected) {
   const int x = lp.add_variable("x", 2.0, 2.0, 1.0, false);
   const int y = lp.add_variable("y", 0.0, 5.0, 1.0, false);
   lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kGe, 4.0));
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.x[0], 2.0, 1e-9);
   EXPECT_NEAR(sol.x[1], 2.0, 1e-6);
@@ -109,7 +109,7 @@ TEST(Simplex, NegativeLowerBounds) {
   const int x = lp.add_variable("x", -5.0, -1.0, 1.0, false);
   const int y = lp.add_variable("y", -3.0, 7.0, 1.0, false);
   lp.add_constraint(make({{x, 1.0}, {y, 1.0}}, Relation::kGe, -6.0));
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, -6.0, 1e-6);
 }
@@ -124,7 +124,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
         make({{x, static_cast<double>(k)}, {y, static_cast<double>(k)}},
              Relation::kLe, 4.0 * k));
   }
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, -4.0, 1e-6);
 }
@@ -152,7 +152,7 @@ TEST_P(SimplexRandom, OptimalBeatsRandomFeasiblePoints) {
     c.rhs = 1.5;
     lp.add_constraint(c);
   }
-  const auto sol = SimplexSolver().solve(lp);
+  const auto sol = SimplexState(lp).solve();
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_LE(lp.max_violation(sol.x), 1e-6);
 
@@ -326,7 +326,7 @@ TEST(SimplexDual, LoadedDualInfeasibleBasisFallsBackToPhaseOne) {
   LinearProgram lp;
   const int f = lp.add_variable("f", -kInf, kInf, 1.0, false);
   lp.add_constraint(make({{f, 1.0}}, Relation::kGe, 3.0));
-  const auto fresh = SimplexSolver().solve(lp);
+  const auto fresh = SimplexState(lp).solve();
   ASSERT_EQ(fresh.status, SolveStatus::kOptimal);
 
   Basis slack_basis;  // the slack basic, f nonbasic at 0

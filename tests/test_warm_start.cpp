@@ -127,7 +127,6 @@ TEST_P(WarmVsCold, SameOptimalObjectiveOnRandomPartitions) {
   cold.warm_start = false;
   cold.mip.warm_lp = false;
   cold.mip.reduced_cost_fixing = false;
-  cold.mip.lp.candidate_list_size = 0;
 
   const auto rw = partition::solve_partition(p, warm);
   const auto rc = partition::solve_partition(p, cold);
@@ -176,7 +175,7 @@ TEST_P(StateReentry, BoundChangeResolveMatchesFreshSolve) {
     lp.set_bounds(v, lo, up);
 
     const LpSolution warm = state.solve();
-    const LpSolution fresh = SimplexSolver().solve(lp);
+    const LpSolution fresh = SimplexState(lp).solve();
     ASSERT_EQ(warm.status, fresh.status) << "step " << step;
     if (warm.status != SolveStatus::kOptimal) break;
     EXPECT_NEAR(warm.objective, fresh.objective, 1e-6) << "step " << step;
@@ -197,7 +196,7 @@ TEST(WarmStart, ReentryIsCheaperThanColdOverall) {
       state.set_bounds(v, 1.0, 1.0);
       lp.set_bounds(v, 1.0, 1.0);
       const LpSolution warm = state.solve();
-      const LpSolution fresh = SimplexSolver().solve(lp);
+      const LpSolution fresh = SimplexState(lp).solve();
       ASSERT_EQ(warm.status, fresh.status);
       if (warm.status != SolveStatus::kOptimal) break;
       EXPECT_NEAR(warm.objective, fresh.objective, 1e-6);
@@ -276,7 +275,9 @@ INSTANTIATE_TEST_SUITE_P(Engines, LoadFailure,
                          ::testing::Values(BasisEngineKind::kDense,
                                            BasisEngineKind::kLu),
                          [](const auto& info) {
-                           return std::string(engine_name(info.param));
+                           return std::string(
+                               info.param == BasisEngineKind::kDense ? "dense"
+                                                                     : "lu");
                          });
 
 TEST(WarmStart, EtaFileOverflowTriggersRefactorization) {
@@ -285,7 +286,6 @@ TEST(WarmStart, EtaFileOverflowTriggersRefactorization) {
   // match the dense reference objective.
   const LinearProgram lp = random_partition_mip(21, 16);
   SimplexOptions lu;
-  lu.engine = BasisEngineKind::kLu;
   lu.refactor_interval = 2;
   SimplexState state(lp, lu);
   const LpSolution sol = state.solve();
@@ -296,7 +296,7 @@ TEST(WarmStart, EtaFileOverflowTriggersRefactorization) {
 
   SimplexOptions dense;
   dense.engine = BasisEngineKind::kDense;
-  const LpSolution ref = SimplexSolver().solve(lp, dense);
+  const LpSolution ref = SimplexState(lp, dense).solve();
   ASSERT_EQ(ref.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, ref.objective, 1e-6);
 }
@@ -325,7 +325,7 @@ TEST(WarmStart, SyncBoundsFollowsModelRevision) {
   EXPECT_EQ(state.upper(0), 1.0);
 
   const LpSolution warm = state.solve();
-  const LpSolution fresh = SimplexSolver().solve(lp);
+  const LpSolution fresh = SimplexState(lp).solve();
   ASSERT_EQ(warm.status, fresh.status);
   if (warm.status == SolveStatus::kOptimal) {
     EXPECT_NEAR(warm.objective, fresh.objective, 1e-6);
