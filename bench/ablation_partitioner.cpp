@@ -95,7 +95,7 @@ int main() {
       {"restricted + preprocess + warm", true, Formulation::kRestricted, true},
       {"restricted + preprocess, no warm", true, Formulation::kRestricted, false},
       {"restricted, no preprocess", false, Formulation::kRestricted, true},
-      {"general + preprocess", true, Formulation::kGeneral, false},
+      {"general + preprocess", true, Formulation::kGeneral, true},
   };
   for (const Cfg& c : cfgs) {
     PartitionOptions opts;

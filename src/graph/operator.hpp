@@ -34,9 +34,10 @@ enum class Namespace { kNode, kServer };
 /// Physical side of the cut an operator is assigned to.
 enum class Side { kNode, kServer };
 
-/// Execution context handed to a work function. The runtime (or the
-/// profiler) implements it; `emit` transfers control downstream and
-/// `meter` records abstract costs for profiling.
+/// Execution context handed to a work function. The runtime's executor
+/// (runtime::PartitionedExecutor) implements it, both when streaming and
+/// when profiling; `emit` transfers control downstream and `cost_meter`
+/// records abstract costs.
 class Context {
  public:
   virtual ~Context() = default;
@@ -44,23 +45,17 @@ class Context {
   /// Produce one element on the operator's output stream.
   virtual void emit(Frame frame) = 0;
 
-  /// Abstract cost meter for the currently-running work function.
-  virtual CostMeter& meter() = 0;
-
-  /// Nullable meter: the profiler returns its per-operator meter, while
-  /// a pure streaming runtime returns nullptr so work functions skip
-  /// all charging (and the meter's loop records cannot grow without
-  /// bound). Work functions should prefer this over meter().
-  [[nodiscard]] virtual CostMeter* cost_meter() { return &meter(); }
+  /// The running operator's cost meter while profiling (meters
+  /// attached to the executor); nullptr while streaming, so work
+  /// functions skip all charging (and the meter's loop records cannot
+  /// grow without bound).
+  [[nodiscard]] virtual CostMeter* cost_meter() = 0;
 
   /// Acquires a float buffer of size `n` for building an output frame
-  /// (contents unspecified). The default allocates; pooled runtimes
-  /// recycle capacity from completed frames, making steady-state
-  /// emission allocation-free. Hand the buffer back by emitting it
-  /// inside a Frame.
-  [[nodiscard]] virtual std::vector<float> get_buffer(std::size_t n) {
-    return std::vector<float>(n);
-  }
+  /// (contents unspecified), recycling capacity from completed frames so
+  /// steady-state emission is allocation-free. Hand the buffer back by
+  /// emitting it inside a Frame.
+  [[nodiscard]] virtual std::vector<float> get_buffer(std::size_t n) = 0;
 
   /// Identity of the physical node this instance runs on (0 on the
   /// server or in single-node profiling). Stateful operators relocated

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "runtime/executor.hpp"
 #include "util/assert.hpp"
 
 namespace wishbone::profile {
@@ -58,95 +59,32 @@ std::vector<double> ProfileData::heat(const PlatformModel& p) const {
   return h;
 }
 
-/// Context handed to a work function during profiling: meters costs and
-/// routes emits depth-first to downstream consumers.
-class Profiler::ExecContext final : public graph::Context {
- public:
-  ExecContext(Profiler& prof, OperatorId op, ProfileData& pd)
-      : prof_(prof), op_(op), pd_(pd) {}
-
-  void emit(Frame frame) override {
-    prof_.meters_[op_].charge_emit();
-    prof_.record_emit(op_, frame, pd_);
-  }
-
-  graph::CostMeter& meter() override { return prof_.meters_[op_]; }
-
-  [[nodiscard]] std::size_t node_id() const override { return 0; }
-
- private:
-  Profiler& prof_;
-  OperatorId op_;
-  ProfileData& pd_;
-};
-
 Profiler::Profiler(Graph& g) : graph_(g) {
   if (auto err = g.validate()) {
     throw util::ContractError("Profiler: invalid graph: " + *err);
   }
 }
 
-void Profiler::record_emit(OperatorId op, const Frame& f, ProfileData& pd) {
-  pd.op_elements_out[op] += 1;
-  pd.op_bytes_out[op] += static_cast<double>(f.wire_bytes());
-  for (std::size_t ei : graph_.out_edges(op)) {
-    pd.edge_bytes[ei] += static_cast<double>(f.wire_bytes());
-    pd.edge_elements[ei] += 1;
-    const graph::Edge& e = graph_.edges()[ei];
-    deliver(e.to, e.to_port, f, pd);
-  }
-}
-
-void Profiler::deliver(OperatorId op, std::size_t port, const Frame& f,
-                       ProfileData& pd) {
-  graph::OperatorImpl* impl = graph_.impl(op);
-  pd.op_invocations[op] += 1;
-  if (impl == nullptr) {
-    // Structural sinks may omit an implementation; they just consume.
-    WB_REQUIRE(graph_.info(op).is_sink,
-               "operator '" + graph_.info(op).name +
-                   "' has no implementation but is not a sink");
-    return;
-  }
-  ExecContext ctx(*this, op, pd);
-  impl->process(port, f, ctx);
-}
-
 namespace {
 
-ProfileData make_profile_data(const Graph& g) {
-  ProfileData pd;
-  pd.op_counts.resize(g.num_operators());
-  pd.op_invocations.resize(g.num_operators(), 0);
-  pd.op_elements_out.resize(g.num_operators(), 0);
-  pd.op_bytes_out.resize(g.num_operators(), 0.0);
-  pd.op_loops.resize(g.num_operators());
-  pd.op_peak_counts.resize(g.num_operators());
-  pd.edge_bytes.resize(g.num_edges(), 0.0);
-  pd.edge_elements.resize(g.num_edges(), 0);
-  pd.edge_peak_bytes.resize(g.num_edges(), 0.0);
-  return pd;
-}
-
-/// Tracks per-event deltas against cumulative meters/byte counters and
-/// folds them into the profile's peak records.
+/// Tracks per-event deltas against the executor's cumulative meters and
+/// byte counters and folds them into the profile's peak records.
 class PeakTracker {
  public:
   PeakTracker(std::size_t num_ops, std::size_t num_edges)
       : prev_counts_(num_ops), prev_edge_bytes_(num_edges, 0.0) {}
 
-  void end_event(const std::vector<graph::CostMeter>& meters,
-                 ProfileData& pd) {
+  void end_event(const runtime::ExecMeters& m, ProfileData& pd) {
     for (std::size_t v = 0; v < prev_counts_.size(); ++v) {
       const graph::OpCounts delta =
-          graph::counts_delta(meters[v].totals(), prev_counts_[v]);
+          graph::counts_delta(m.op[v].totals(), prev_counts_[v]);
       pd.op_peak_counts[v] = graph::counts_max(pd.op_peak_counts[v], delta);
-      prev_counts_[v] = meters[v].totals();
+      prev_counts_[v] = m.op[v].totals();
     }
     for (std::size_t ei = 0; ei < prev_edge_bytes_.size(); ++ei) {
       pd.edge_peak_bytes[ei] = std::max(
-          pd.edge_peak_bytes[ei], pd.edge_bytes[ei] - prev_edge_bytes_[ei]);
-      prev_edge_bytes_[ei] = pd.edge_bytes[ei];
+          pd.edge_peak_bytes[ei], m.edge_bytes[ei] - prev_edge_bytes_[ei]);
+      prev_edge_bytes_[ei] = m.edge_bytes[ei];
     }
   }
 
@@ -171,59 +109,41 @@ ProfileData Profiler::run(
                "than the requested number of events");
   }
 
-  ProfileData pd = make_profile_data(graph_);
-  pd.num_events = num_events;
-  meters_.assign(graph_.num_operators(), graph::CostMeter{});
+  const std::size_t num_ops = graph_.num_operators();
+  runtime::PartitionedExecutor ex(
+      graph_, std::vector<graph::Side>(num_ops, graph::Side::kNode));
+  runtime::ExecMeters m(graph_);
+  ex.attach_meters(&m);
 
-  PeakTracker peaks(graph_.num_operators(), graph_.num_edges());
+  ProfileData pd;
+  pd.num_events = num_events;
+  pd.op_peak_counts.resize(num_ops);
+  pd.edge_peak_bytes.resize(graph_.num_edges(), 0.0);
+  PeakTracker peaks(num_ops, graph_.num_edges());
   for (std::size_t i = 0; i < num_events; ++i) {
     for (OperatorId s : sources) {
       const Frame& f = traces.at(s)[i];
       // Nominal acquisition cost: the ADC/driver copies every sample.
-      meters_[s].charge_mem(f.wire_bytes());
-      meters_[s].charge_int(f.size());
-      meters_[s].charge_emit();
-      pd.op_invocations[s] += 1;
-      record_emit(s, f, pd);
+      m.op[s].charge_mem(f.wire_bytes());
+      m.op[s].charge_int(f.size());
+      m.op[s].charge_emit();
+      m.invocations[s] += 1;
     }
-    peaks.end_event(meters_, pd);
+    ex.step(traces, i);
+    peaks.end_event(m, pd);
   }
 
-  for (OperatorId v = 0; v < graph_.num_operators(); ++v) {
-    pd.op_counts[v] = meters_[v].totals();
-    pd.op_loops[v] = meters_[v].loops();
+  pd.op_counts.reserve(num_ops);
+  pd.op_loops.reserve(num_ops);
+  for (const graph::CostMeter& meter : m.op) {
+    pd.op_counts.push_back(meter.totals());
+    pd.op_loops.push_back(meter.loops());
   }
-  return pd;
-}
-
-ProfileData Profiler::run_self_driven(std::size_t num_events) {
-  WB_REQUIRE(num_events > 0, "need at least one event to profile");
-  const auto sources = graph_.sources();
-  for (OperatorId s : sources) {
-    WB_REQUIRE(graph_.impl(s) != nullptr,
-               "self-driven profiling needs an implementation on source '" +
-                   graph_.info(s).name + "'");
-  }
-
-  ProfileData pd = make_profile_data(graph_);
-  pd.num_events = num_events;
-  meters_.assign(graph_.num_operators(), graph::CostMeter{});
-
-  PeakTracker peaks(graph_.num_operators(), graph_.num_edges());
-  const Frame trigger;
-  for (std::size_t i = 0; i < num_events; ++i) {
-    for (OperatorId s : sources) {
-      ExecContext ctx(*this, s, pd);
-      pd.op_invocations[s] += 1;
-      graph_.impl(s)->process(0, trigger, ctx);
-    }
-    peaks.end_event(meters_, pd);
-  }
-
-  for (OperatorId v = 0; v < graph_.num_operators(); ++v) {
-    pd.op_counts[v] = meters_[v].totals();
-    pd.op_loops[v] = meters_[v].loops();
-  }
+  pd.op_invocations = std::move(m.invocations);
+  pd.op_elements_out = std::move(m.elements_out);
+  pd.op_bytes_out = std::move(m.bytes_out);
+  pd.edge_bytes = std::move(m.edge_bytes);
+  pd.edge_elements = std::move(m.edge_elements);
   return pd;
 }
 

@@ -72,9 +72,13 @@ struct ProfileData {
   [[nodiscard]] std::vector<double> heat(const PlatformModel& p) const;
 };
 
-/// Profiles `g` by driving its sources and executing every operator's
-/// work function with a metering context. The graph's operator state is
-/// mutated (and should be reset_state()-ed before reuse).
+/// Profiles `g` by running it all on the node in the streaming
+/// runtime's executor (runtime::PartitionedExecutor) with cost meters
+/// attached: each work function charges its operator's meter through
+/// Context::cost_meter(), and the executor counts deliveries and routed
+/// bytes per operator and per edge. Events are stepped one at a time so
+/// per-event peaks can be taken. The graph's operator state is mutated
+/// (and should be reset_state()-ed before reuse).
 class Profiler {
  public:
   explicit Profiler(Graph& g);
@@ -85,19 +89,8 @@ class Profiler {
   ProfileData run(const std::map<OperatorId, std::vector<Frame>>& traces,
                   std::size_t num_events);
 
-  /// Drives each source's own implementation `num_events` times with an
-  /// empty trigger frame; sources emit data generated by their impls.
-  ProfileData run_self_driven(std::size_t num_events);
-
  private:
-  class ExecContext;
-
-  void deliver(OperatorId op, std::size_t port, const Frame& f,
-               ProfileData& pd);
-  void record_emit(OperatorId op, const Frame& f, ProfileData& pd);
-
   Graph& graph_;
-  std::vector<graph::CostMeter> meters_;  ///< one per operator, per run
 };
 
 }  // namespace wishbone::profile

@@ -10,9 +10,13 @@ class PartitionedExecutor::Ctx final : public graph::Context {
  public:
   Ctx(PartitionedExecutor& ex, OperatorId op) : ex_(ex), op_(op) {}
 
-  void emit(Frame frame) override { ex_.route(op_, std::move(frame)); }
-  graph::CostMeter& meter() override { return ex_.scratch_meter_; }
-  [[nodiscard]] graph::CostMeter* cost_meter() override { return nullptr; }
+  void emit(Frame frame) override {
+    if (ex_.meters_ != nullptr) ex_.meters_->op[op_].charge_emit();
+    ex_.route(op_, std::move(frame));
+  }
+  [[nodiscard]] graph::CostMeter* cost_meter() override {
+    return ex_.meters_ != nullptr ? &ex_.meters_->op[op_] : nullptr;
+  }
   [[nodiscard]] std::vector<float> get_buffer(std::size_t n) override {
     return ex_.pool_.acquire(n);
   }
@@ -22,6 +26,11 @@ class PartitionedExecutor::Ctx final : public graph::Context {
   PartitionedExecutor& ex_;
   OperatorId op_;
 };
+
+ExecMeters::ExecMeters(const Graph& g)
+    : op(g.num_operators()), invocations(g.num_operators(), 0),
+      elements_out(g.num_operators(), 0), bytes_out(g.num_operators(), 0.0),
+      edge_bytes(g.num_edges(), 0.0), edge_elements(g.num_edges(), 0) {}
 
 PartitionedExecutor::PartitionedExecutor(Graph& g,
                                          std::vector<Side> assignment,
@@ -47,6 +56,15 @@ void PartitionedExecutor::set_loss_hook(
 
 void PartitionedExecutor::route(OperatorId from, Frame&& f) {
   const std::vector<std::size_t>& out = graph_.out_edges(from);
+  if (meters_ != nullptr) {
+    const double bytes = static_cast<double>(f.wire_bytes());
+    meters_->elements_out[from] += 1;
+    meters_->bytes_out[from] += bytes;
+    for (std::size_t ei : out) {
+      meters_->edge_bytes[ei] += bytes;
+      meters_->edge_elements[ei] += 1;
+    }
+  }
   // True while wire_ holds f's bytes. A cut delivery keeps it valid
   // (server operators have no cut edges below them); a local delivery
   // may route other node frames through wire_, so it clears it.
@@ -89,6 +107,7 @@ void PartitionedExecutor::route(OperatorId from, Frame&& f) {
 
 void PartitionedExecutor::deliver(OperatorId op, std::size_t port,
                                   Frame&& f) {
+  if (meters_ != nullptr) meters_->invocations[op] += 1;
   if (graph_.info(op).is_sink) {
     if (sink_out_ != nullptr) (*sink_out_)[op].push_back(f);
     if (graph_.impl(op) != nullptr) {
@@ -110,27 +129,35 @@ std::map<OperatorId, std::vector<Frame>> PartitionedExecutor::run(
     const std::map<OperatorId, std::vector<Frame>>& traces,
     std::size_t num_events) {
   WB_REQUIRE(num_events > 0, "need at least one event");
-  std::map<OperatorId, std::vector<Frame>> out;
-  sink_out_ = collect_sink_ ? &out : nullptr;
   for (OperatorId s : sources_) {
     const auto it = traces.find(s);
     WB_REQUIRE(it != traces.end() && it->second.size() >= num_events,
                "missing or short trace for source '" +
                    graph_.info(s).name + "'");
   }
-  for (std::size_t i = 0; i < num_events; ++i) {
-    ++stats_.events;
-    for (OperatorId s : sources_) {
-      // Copy the (const) trace frame into pooled storage so the whole
-      // traversal runs on recycled buffers.
-      const Frame& src = traces.at(s)[i];
-      std::vector<float> buf = pool_.acquire(src.size());
-      std::copy(src.samples().begin(), src.samples().end(), buf.begin());
-      route(s, Frame(std::move(buf), src.encoding()));
-    }
+  std::map<OperatorId, std::vector<Frame>> out;
+  sink_out_ = collect_sink_ ? &out : nullptr;
+  try {
+    for (std::size_t i = 0; i < num_events; ++i) step(traces, i);
+  } catch (...) {
+    sink_out_ = nullptr;  // a later step() must not reach the dead map
+    throw;
   }
   sink_out_ = nullptr;
   return out;
+}
+
+void PartitionedExecutor::step(
+    const std::map<OperatorId, std::vector<Frame>>& traces, std::size_t i) {
+  ++stats_.events;
+  for (OperatorId s : sources_) {
+    // Copy the (const) trace frame into pooled storage so the whole
+    // traversal runs on recycled buffers.
+    const Frame& src = traces.at(s)[i];
+    std::vector<float> buf = pool_.acquire(src.size());
+    std::copy(src.samples().begin(), src.samples().end(), buf.begin());
+    route(s, Frame(std::move(buf), src.encoding()));
+  }
 }
 
 }  // namespace wishbone::runtime

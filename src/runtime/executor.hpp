@@ -17,7 +17,13 @@
 // release into the pool follows an acquire from it, so the pool stays
 // balanced and its idle-buffer count stops changing once warm.
 // Operators cooperate by building outputs in ctx.get_buffer() storage.
-// The executor does not profile, so Context::cost_meter() is nullptr.
+//
+// The same traversal is the profiler (§3). A caller that attaches
+// ExecMeters gets each work function's Context::cost_meter() pointed at
+// its operator's meter and every delivery and routed frame counted;
+// profile::Profiler runs the graph all on the node with meters attached
+// and folds them into a ProfileData. Without meters, cost_meter() is
+// nullptr and work functions skip all charging.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +52,21 @@ struct ExecStats {
   std::uint64_t cut_messages = 0;     ///< after packetization
 };
 
+/// Counters the executor keeps while attached (see attach_meters).
+struct ExecMeters {
+  explicit ExecMeters(const Graph& g);
+
+  // Indexed by OperatorId:
+  std::vector<graph::CostMeter> op;         ///< charged by work functions
+  std::vector<std::uint64_t> invocations;   ///< frames delivered
+  std::vector<std::uint64_t> elements_out;  ///< frames routed downstream
+  std::vector<double> bytes_out;            ///< wire bytes routed
+
+  // Indexed like Graph::edges():
+  std::vector<double> edge_bytes;            ///< wire bytes carried
+  std::vector<std::uint64_t> edge_elements;  ///< frames carried
+};
+
 class PartitionedExecutor {
  public:
   /// `assignment` maps every operator to a side; the cut must be
@@ -64,11 +85,21 @@ class PartitionedExecutor {
   /// event). Default true.
   void set_collect_sink_output(bool collect) { collect_sink_ = collect; }
 
+  /// Metering mode: while `m` is attached, work functions charge
+  /// `m->op[v]` through Context::cost_meter() and the executor counts
+  /// into `m`'s other vectors. nullptr detaches (the default).
+  void attach_meters(ExecMeters* m) { meters_ = m; }
+
   /// Drives each source with one frame per event; returns the frames
   /// that reached each sink (empty in streaming mode).
   std::map<OperatorId, std::vector<Frame>> run(
       const std::map<OperatorId, std::vector<Frame>>& traces,
       std::size_t num_events);
+
+  /// Drives event `i` alone, discarding sink frames. `traces` must hold
+  /// more than `i` frames for every source (run() checks this).
+  void step(const std::map<OperatorId, std::vector<Frame>>& traces,
+            std::size_t i);
 
   [[nodiscard]] const ExecStats& stats() const { return stats_; }
 
@@ -90,11 +121,11 @@ class PartitionedExecutor {
   std::size_t radio_payload_;
   std::function<bool(std::uint64_t)> loss_hook_;
   ExecStats stats_;
-  graph::CostMeter scratch_meter_;  ///< executor does not profile
   BufferPool pool_;                 ///< recycled frame storage
   std::vector<std::uint8_t> wire_;  ///< reused cut-frame wire buffer
   bool collect_sink_ = true;
   std::map<OperatorId, std::vector<Frame>>* sink_out_ = nullptr;
+  ExecMeters* meters_ = nullptr;
 };
 
 }  // namespace wishbone::runtime

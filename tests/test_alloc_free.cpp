@@ -7,8 +7,9 @@
 // overhead cancels out, so the difference isolates per-event
 // allocations. The pool's idle-buffer count must not depend on run
 // length either: a pool that keeps storage it never handed out grows
-// with every cut frame even when nothing allocates. The partitioner's
-// warm re-solve has an allocation budget of its own (last test).
+// with every cut frame even when nothing allocates. Profiling and the
+// partitioner's warm re-solve have allocation budgets of their own
+// (last two tests).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -210,6 +211,28 @@ TEST(AllocFree, WarmEegResolveStaysWithinAllocationBudget) {
   ASSERT_TRUE(res.feasible);
   EXPECT_TRUE(res.solver.warm_basis_loaded);
   EXPECT_LE(allocs, 25238u / 2) << allocs << " allocations";
+}
+
+/// Profiling is the executor's all-on-node run with meters attached, so
+/// its frames come from the buffer pool. EEG-22 over 8 windows, counted
+/// on a second run so the process-wide dsp plan caches are already warm
+/// whatever ran before: what remains is the per-run set-up (executor,
+/// meters, ProfileData), the pool's warm-up and the meters' loop
+/// records. Budget: the 2,705 allocations measured when profiling moved
+/// onto the executor plus ~11% headroom; the profiler's own traversal,
+/// which allocated every emitted frame, made 11,569.
+TEST(AllocFree, ProfilingEeg22StaysWithinAllocationBudget) {
+  apps::EegApp app = apps::build_eeg_app();  // 22 channels
+  const auto traces = apps::eeg_traces(app, 8);
+  profile::Profiler prof(app.g);
+  (void)prof.run(traces, 8);
+  app.g.reset_state();
+
+  const std::uint64_t before = util::allocation_count();
+  const profile::ProfileData pd = prof.run(traces, 8);
+  const std::uint64_t allocs = util::allocation_count() - before;
+  ASSERT_EQ(pd.num_events, 8u);
+  EXPECT_LE(allocs, 3000u) << allocs << " allocations";
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "apps/speech.hpp"
+#include "graph/builder.hpp"
 #include "runtime/executor.hpp"
 #include "test_helpers.hpp"
 #include "util/assert.hpp"
@@ -162,6 +165,35 @@ TEST(Executor, MissingTraceThrows) {
   PartitionedExecutor ex(t.g, all_on(t.g, Side::kServer));
   std::map<OperatorId, std::vector<Frame>> traces;
   EXPECT_THROW((void)ex.run(traces, 1), ContractError);
+}
+
+// A work function that throws aborts run(); stepping the same executor
+// afterwards must discard sink frames, not write them into the aborted
+// run()'s destroyed result map.
+TEST(Executor, StepAfterThrowingRunDiscardsSinkFrames) {
+  using graph::Context;
+  graph::GraphBuilder b;
+  graph::Stream mid;
+  {
+    auto node = b.node_scope();
+    mid = b.stateful(
+        "flaky", b.source("src", nullptr),
+        std::make_unique<graph::StatelessOp<
+            std::function<void(const Frame&, Context&)>>>(
+            [calls = 0](const Frame& f, Context& c) mutable {
+              WB_REQUIRE(++calls > 1, "first frame rejected");
+              c.emit(f);
+            }));
+  }
+  const OperatorId sink = b.sink("out", mid);
+  graph::Graph g = b.build();
+  PartitionedExecutor ex(g, std::vector<Side>(g.num_operators(),
+                                              Side::kNode));
+  std::map<OperatorId, std::vector<Frame>> traces;
+  traces[g.find("src")] = wbtest::int_frames(3);
+  EXPECT_THROW((void)ex.run(traces, 3), ContractError);
+  ex.step(traces, 1);
+  EXPECT_EQ(ex.run(traces, 3).at(sink).size(), 3u);
 }
 
 TEST(Executor, AssignmentSizeMismatchThrows) {

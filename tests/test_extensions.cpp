@@ -139,7 +139,7 @@ TEST(PeakLoad, BurstyOperatorShowsPeakAboveMean) {
             std::function<void(const graph::Frame&, graph::Context&)>>>(
             [n = 0](const graph::Frame& f, graph::Context& c) mutable {
               if (++n % 4 == 0) {
-                c.meter().charge_float(4000);
+                if (auto* m = c.cost_meter()) m->charge_float(4000);
                 c.emit(f);
               }
             }));

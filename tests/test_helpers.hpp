@@ -109,7 +109,7 @@ inline TinyApp tiny_app() {
             out.push_back(x);
             out.push_back(x);
           }
-          c.meter().charge_int(2 * f.size());
+          if (auto* m = c.cost_meter()) m->charge_int(2 * f.size());
           c.emit(Frame(std::move(out), Encoding::kInt16));
         }));
     s_half = b.stateless(
@@ -117,7 +117,7 @@ inline TinyApp tiny_app() {
           std::vector<float> out(f.samples().begin(),
                                  f.samples().begin() +
                                      static_cast<std::ptrdiff_t>(f.size() / 2));
-          c.meter().charge_float(f.size());
+          if (auto* m = c.cost_meter()) m->charge_float(f.size());
           c.emit(Frame(std::move(out), Encoding::kInt16));
         }));
   }
