@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace wishbone::graph {
@@ -80,6 +81,10 @@ class CostMeter {
 
   [[nodiscard]] const OpCounts& totals() const { return totals_; }
   [[nodiscard]] const std::vector<LoopRecord>& loops() const { return loops_; }
+  /// Moves the loop records out of a meter that is about to die.
+  [[nodiscard]] std::vector<LoopRecord> take_loops() && {
+    return std::move(loops_);
+  }
   [[nodiscard]] bool in_loop() const { return !open_.empty(); }
 
   void reset();

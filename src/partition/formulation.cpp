@@ -7,23 +7,24 @@
 
 namespace wishbone::partition {
 
+std::vector<double> net_coefficients(const PartitionProblem& p) {
+  std::vector<double> coeff(p.vertices.size(), 0.0);
+  for (const ProblemEdge& e : p.edges) {
+    coeff[e.from] += e.bandwidth;
+    coeff[e.to] -= e.bandwidth;
+  }
+  return coeff;
+}
+
 ilp::LinearProgram build_ilp(const PartitionProblem& p, Formulation form) {
   p.check();
   const bool restricted = form == Formulation::kRestricted;
   const std::size_t n = p.vertices.size();
 
-  // Restricted formulation, unidirectional flow (Eq. 6): the network
-  // load is linear in f (Eq. 7), sum over edges of r_uv (f_u - f_v).
-  // Fold it per vertex first so that beta * net can go straight into
-  // the objective coefficients below.
+  // Restricted formulation: fold the network load per vertex first so
+  // that beta * net can go straight into the objective coefficients.
   std::vector<double> net_coeff;
-  if (restricted) {
-    net_coeff.assign(n, 0.0);
-    for (const ProblemEdge& e : p.edges) {
-      net_coeff[e.from] += e.bandwidth;
-      net_coeff[e.to] -= e.bandwidth;
-    }
-  }
+  if (restricted) net_coeff = net_coefficients(p);
 
   ilp::LinearProgram lp;
   // f_v indicators with pinning folded into the bounds (Eq. 1). The
@@ -76,12 +77,13 @@ ilp::LinearProgram build_ilp(const PartitionProblem& p, Formulation form) {
 
   if (restricted) {
     // f_u - f_v >= 0 per edge (Eq. 6), then the net budget as one row.
-    for (const ProblemEdge& e : p.edges) {
-      const std::string& from = p.vertices[e.from].name;
-      const std::string& to = p.vertices[e.to].name;
+    // Rows are named by edge index, as the general formulation's are:
+    // the name fits the string's inline buffer, so a row costs one
+    // allocation (its terms), not two.
+    for (std::size_t ei = 0; ei < p.edges.size(); ++ei) {
+      const ProblemEdge& e = p.edges[ei];
       ilp::Constraint mono;
-      mono.name.reserve(6 + from.size() + to.size());
-      mono.name.append("mono_").append(from).append("_").append(to);
+      mono.name = "mono_" + std::to_string(ei);
       mono.rel = ilp::Relation::kGe;
       mono.rhs = 0.0;
       mono.terms = {{static_cast<int>(e.from), 1.0},

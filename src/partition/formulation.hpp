@@ -11,7 +11,10 @@
 //  - The *restricted* formulation (Eq. 6–7) assumes data crosses the
 //    network once: f_u >= f_v on every edge, making the cut bandwidth
 //    the linear expression sum (f_u - f_v) r_uv: only |V| variables.
-//    This is the formulation Wishbone's prototype uses.
+//    This is the formulation Wishbone's prototype uses. Without its
+//    budget rows it is a closure polytope, so solve_partition first
+//    solves it as one min cut (partition/closure.hpp) and builds this
+//    ILP only when that cut breaks a budget.
 #pragma once
 
 #include <vector>
@@ -22,6 +25,11 @@
 namespace wishbone::partition {
 
 enum class Formulation { kRestricted, kGeneral };
+
+/// The restricted model's network load per vertex, out_bw_v - in_bw_v
+/// (Eq. 7 folded per vertex): the net-budget row's coefficients, and
+/// beta times them enters the objective.
+[[nodiscard]] std::vector<double> net_coefficients(const PartitionProblem& p);
 
 /// Builds the ILP for `p`. Variable 0..|V|-1 are the f_v indicators (in
 /// vertex order); the general formulation appends e/e' pairs per edge.

@@ -2,34 +2,57 @@
 
 #include <algorithm>
 
-#include "ilp/simplex.hpp"
+#include "obs/metrics.hpp"
+#include "partition/closure.hpp"
 #include "util/assert.hpp"
+#include "util/stopwatch.hpp"
 
 namespace wishbone::partition {
 
-std::vector<Side> PartitionResult::operator_assignment(
-    const PartitionProblem& solved_problem,
-    std::size_t num_operators) const {
-  WB_REQUIRE(feasible, "no assignment: partition was infeasible");
-  return expand_assignment(solved_problem, sides, num_operators);
+namespace {
+
+/// Counts each solve_partition call once, by the path that answered it.
+void count_solve(bool by_closure) {
+  obs::Registry& reg = obs::Registry::global();
+  static obs::Counter* const closure =
+      reg.counter("wishbone_partition_solves", {{"path", "closure"}});
+  static obs::Counter* const bnb =
+      reg.counter("wishbone_partition_solves", {{"path", "bnb"}});
+  (by_closure ? closure : bnb)->inc();
 }
 
-PartitionResult solve_partition(const PartitionProblem& p,
-                                const PartitionOptions& opts) {
-  PartitionResult res;
-
-  // The solver works on the condensed problem, or on `p` itself when
-  // preprocessing is off.
-  PartitionProblem condensed;
-  if (opts.preprocess) {
-    condensed = preprocess(p, &res.prep);
-  } else {
-    res.prep.vertices_before = res.prep.vertices_after = p.num_vertices();
-    res.prep.edges_before = res.prep.edges_after = p.num_edges();
+/// The closure fast path. The restricted model's min-weight closure is
+/// its optimum without the budget rows, so when it also fits every
+/// budget it is the ILP's optimum. Returns it as branch and bound
+/// reports a solve proved at the root, with no node and no LP; nullopt
+/// when the closure does not apply (general formulation, contradictory
+/// pins) or breaks a budget.
+std::optional<ilp::MipResult> solve_by_closure(const PartitionProblem& work,
+                                               Formulation form) {
+  if (form != Formulation::kRestricted) return std::nullopt;
+  const util::Stopwatch clock;
+  const std::optional<Closure> c = min_weight_closure(work);
+  if (!c || !evaluate_assignment(work, c->sides).feasible(work)) {
+    return std::nullopt;
   }
-  const PartitionProblem& work = opts.preprocess ? condensed : p;
+  ilp::MipResult r;
+  r.status = ilp::SolveStatus::kOptimal;
+  r.has_incumbent = true;
+  r.objective = r.best_bound = c->objective;
+  r.x.resize(c->sides.size());
+  for (std::size_t v = 0; v < r.x.size(); ++v) {
+    r.x[v] = c->sides[v] == Side::kNode ? 1.0 : 0.0;
+  }
+  r.time_total = clock.elapsed_seconds();
+  r.time_to_first_incumbent = r.time_to_best_incumbent = r.time_total;
+  r.incumbents.push_back({r.time_total, r.objective, 0});
+  return r;
+}
 
-  ilp::LinearProgram model = build_ilp(work, opts.formulation);
+/// Branch and bound on the ILP of `work`.
+ilp::MipResult solve_ilp(const PartitionProblem& work,
+                         const PartitionOptions& opts) {
+  const ilp::LinearProgram model = build_ilp(work, opts.formulation);
 
   ilp::MipOptions mip = opts.mip;
   if (opts.warm_start && opts.formulation == Formulation::kRestricted) {
@@ -53,14 +76,45 @@ PartitionResult solve_partition(const PartitionProblem& p,
   // (warm_lp, reduced_cost_fixing, warm_basis) stay whatever
   // the caller put in opts.mip — ablations wanting the full seed
   // solver set those fields explicitly.
-
-  ilp::BranchAndBound bnb;
-  res.solver = bnb.solve(model, mip);
+  //
   // Callers chaining related solves (rate search, repeated sweeps) pick
-  // the final basis up from res.solver.final_basis and thread it into
+  // the final basis up from the result's final_basis and thread it into
   // the next solve's opts.mip.warm_basis; under the LU engine the load
   // costs one sparse refactorization instead of an O(m^3) Gauss-Jordan,
-  // and res.solver.warm_basis_loaded reports whether the inherit took.
+  // and warm_basis_loaded reports whether the inherit took. A solve the
+  // closure answers leaves final_basis empty, and those callers keep
+  // the last basis they had.
+  return ilp::BranchAndBound{}.solve(model, mip);
+}
+
+}  // namespace
+
+std::vector<Side> PartitionResult::operator_assignment(
+    const PartitionProblem& solved_problem,
+    std::size_t num_operators) const {
+  WB_REQUIRE(feasible, "no assignment: partition was infeasible");
+  return expand_assignment(solved_problem, sides, num_operators);
+}
+
+PartitionResult solve_partition(const PartitionProblem& p,
+                                const PartitionOptions& opts) {
+  PartitionResult res;
+
+  // The solver works on the condensed problem, or on `p` itself when
+  // preprocessing is off.
+  PartitionProblem condensed;
+  if (opts.preprocess) {
+    condensed = preprocess(p, &res.prep);
+  } else {
+    res.prep.vertices_before = res.prep.vertices_after = p.num_vertices();
+    res.prep.edges_before = res.prep.edges_after = p.num_edges();
+  }
+  const PartitionProblem& work = opts.preprocess ? condensed : p;
+
+  std::optional<ilp::MipResult> closure =
+      solve_by_closure(work, opts.formulation);
+  count_solve(closure.has_value());
+  res.solver = closure ? std::move(*closure) : solve_ilp(work, opts);
   if (!res.solver.has_incumbent) {
     res.feasible = false;
     return res;

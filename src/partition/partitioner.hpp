@@ -1,5 +1,15 @@
 // The Wishbone partitioner (§3–4): preprocess, formulate as an ILP,
 // solve with branch and bound, and decode the optimal node/server cut.
+//
+// The restricted formulation takes a fast path first: without its
+// budget rows it is a min-weight closure, one s–t min cut
+// (partition/closure.hpp). When that cut fits every budget it is the
+// ILP's optimum, and solve_partition returns it without building the
+// ILP: `solver` then reads as a solve proved at the root with 0 nodes,
+// 0 LP iterations and no final basis. Otherwise branch and bound runs
+// as before. The process-wide counter
+// wishbone_partition_solves_total{path="closure"|"bnb"} counts each
+// solve by the path that answered it.
 #pragma once
 
 #include <optional>

@@ -1,6 +1,7 @@
 #include "profile/profiler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "runtime/executor.hpp"
 #include "util/assert.hpp"
@@ -135,9 +136,9 @@ ProfileData Profiler::run(
 
   pd.op_counts.reserve(num_ops);
   pd.op_loops.reserve(num_ops);
-  for (const graph::CostMeter& meter : m.op) {
+  for (graph::CostMeter& meter : m.op) {
     pd.op_counts.push_back(meter.totals());
-    pd.op_loops.push_back(meter.loops());
+    pd.op_loops.push_back(std::move(meter).take_loops());
   }
   pd.op_invocations = std::move(m.invocations);
   pd.op_elements_out = std::move(m.elements_out);

@@ -8,8 +8,8 @@
 // allocations. The pool's idle-buffer count must not depend on run
 // length either: a pool that keeps storage it never handed out grows
 // with every cut frame even when nothing allocates. Profiling and the
-// partitioner's warm re-solve have allocation budgets of their own
-// (last two tests).
+// partitioner's warm re-solve and closure-answered solve have
+// allocation budgets of their own (last three tests).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,6 +26,7 @@
 #include "profile/platform.hpp"
 #include "profile/profiler.hpp"
 #include "runtime/executor.hpp"
+#include "test_helpers.hpp"
 #include "util/alloc_count.hpp"
 
 namespace wishbone {
@@ -175,33 +176,64 @@ TEST(AllocFree, CollectingSinkOutputStillWorks) {
   EXPECT_TRUE(out2.empty());
 }
 
-/// The partition server's stale-cache path: EEG-22 on Gumstix, profile
-/// drifted by 1.5%, solved from the donor basis of the previous solve.
-/// It takes about one LP iteration, so its cost is fixed set-up —
-/// preprocess, ILP build, simplex state, loading the basis — and the
-/// heap allocation count measures that set-up without a clock. Budget:
-/// half of the 25,238 allocations this solve made when the set-up
-/// still copied the problem, built the ILP twice and reallocated the
-/// LU work matrix per factorization.
-TEST(AllocFree, WarmEegResolveStaysWithinAllocationBudget) {
+/// EEG-22 on Gumstix, profiled once: the problems the partitioner tests
+/// below solve.
+struct Eeg22OnGumstix {
   apps::EegApp app = apps::build_eeg_app();  // 22 channels
-  const auto traces = apps::eeg_traces(app, 8);
-  profile::Profiler prof(app.g);
-  const profile::ProfileData pd = prof.run(traces, 8);
-  app.g.reset_state();
-  const graph::PinAnalysis pins =
-      graph::analyze_pins(app.g, graph::Mode::kPermissive);
-  const profile::PlatformModel plat = profile::platform_by_name("Gumstix");
-  const double rate = app.full_rate_events_per_sec();
+  profile::ProfileData pd;
+  graph::PinAnalysis pins;
+  profile::PlatformModel plat = profile::platform_by_name("Gumstix");
+  double rate = 0.0;
+
+  Eeg22OnGumstix() {
+    const auto traces = apps::eeg_traces(app, 8);
+    profile::Profiler prof(app.g);
+    pd = prof.run(traces, 8);
+    app.g.reset_state();
+    pins = graph::analyze_pins(app.g, graph::Mode::kPermissive);
+    rate = app.full_rate_events_per_sec();
+  }
+  [[nodiscard]] partition::PartitionProblem problem(double r) const {
+    return partition::make_problem(app.g, pins, pd, plat, r);
+  }
+};
+
+/// A CPU budget that only the node-pinned sources fit: the budget-free
+/// closure (the cut EEG-22 on Gumstix gets, 0.016 of the CPU) breaks
+/// it, and the LP optimum is the cut that ships the raw samples, proved
+/// at the root.
+partition::PartitionProblem sources_only_cpu(partition::PartitionProblem p) {
+  std::vector<Side> pinned(p.num_vertices(), Side::kServer);
+  for (std::size_t v = 0; v < pinned.size(); ++v) {
+    if (p.vertices[v].req == graph::Requirement::kNode) pinned[v] = Side::kNode;
+  }
+  p.cpu_budget = partition::evaluate_assignment(p, pinned).cpu;
+  return p;
+}
+
+/// The partition server's stale-cache path: EEG-22 on Gumstix under a
+/// binding CPU budget, profile drifted by 1.5%, solved from the donor
+/// basis of the previous solve. It takes about one LP iteration, so its
+/// cost is fixed set-up — preprocess, ILP build, simplex state, loading
+/// the basis — and the heap allocation count measures that set-up
+/// without a clock. Budget: half of the 25,238 allocations this solve
+/// made when the set-up still copied the problem, built the ILP twice
+/// and reallocated the LU work matrix per factorization.
+TEST(AllocFree, WarmEegResolveStaysWithinAllocationBudget) {
+  const Eeg22OnGumstix eeg;
+  const partition::PartitionProblem base =
+      sources_only_cpu(eeg.problem(eeg.rate));
+  const partition::PartitionProblem drifted =
+      sources_only_cpu(eeg.problem(1.015 * eeg.rate));
+  ASSERT_FALSE(wbtest::closure_fits(base));
+  ASSERT_FALSE(wbtest::closure_fits(drifted));
 
   partition::PartitionOptions opts;
   opts.mip.max_nodes = 400;
   opts.mip.threads = 1;
-  const partition::PartitionResult donor = partition::solve_partition(
-      partition::make_problem(app.g, pins, pd, plat, rate), opts);
+  const partition::PartitionResult donor =
+      partition::solve_partition(base, opts);
   ASSERT_TRUE(donor.feasible);
-  const partition::PartitionProblem drifted =
-      partition::make_problem(app.g, pins, pd, plat, 1.015 * rate);
   opts.mip.warm_basis = donor.solver.final_basis;
 
   const std::uint64_t before = util::allocation_count();
@@ -213,14 +245,37 @@ TEST(AllocFree, WarmEegResolveStaysWithinAllocationBudget) {
   EXPECT_LE(allocs, 25238u / 2) << allocs << " allocations";
 }
 
+/// The compile path's solve: EEG-22 on Gumstix fits, so the closure
+/// answers it with preprocess, one max-flow and its certificate, and
+/// no ILP. Budget: the 1,050 allocations measured when the closure fast
+/// path landed plus ~11% headroom; the branch-and-bound path made
+/// about 11,400 for the same solve.
+TEST(AllocFree, ClosureAnsweredEeg22SolveStaysWithinAllocationBudget) {
+  const Eeg22OnGumstix eeg;
+  const partition::PartitionProblem p = eeg.problem(eeg.rate);
+  ASSERT_TRUE(wbtest::closure_fits(p));
+  partition::PartitionOptions opts;
+  opts.mip.max_nodes = 400;
+  opts.mip.threads = 1;
+  (void)partition::solve_partition(p, opts);  // process-wide statics
+
+  const std::uint64_t before = util::allocation_count();
+  const partition::PartitionResult res = partition::solve_partition(p, opts);
+  const std::uint64_t allocs = util::allocation_count() - before;
+  ASSERT_TRUE(res.feasible);
+  EXPECT_EQ(res.solver.lp_iterations, 0u);
+  EXPECT_LE(allocs, 1170u) << allocs << " allocations";
+}
+
 /// Profiling is the executor's all-on-node run with meters attached, so
 /// its frames come from the buffer pool. EEG-22 over 8 windows, counted
 /// on a second run so the process-wide dsp plan caches are already warm
 /// whatever ran before: what remains is the per-run set-up (executor,
 /// meters, ProfileData), the pool's warm-up and the meters' loop
-/// records. Budget: the 2,705 allocations measured when profiling moved
-/// onto the executor plus ~11% headroom; the profiler's own traversal,
-/// which allocated every emitted frame, made 11,569.
+/// records, which move into ProfileData. Budget: the 2,265 allocations
+/// measured once the loop records moved instead of being copied, plus
+/// ~11% headroom; copying them made 2,705, and the profiler's own
+/// traversal, which allocated every emitted frame, made 11,569.
 TEST(AllocFree, ProfilingEeg22StaysWithinAllocationBudget) {
   apps::EegApp app = apps::build_eeg_app();  // 22 channels
   const auto traces = apps::eeg_traces(app, 8);
@@ -232,7 +287,7 @@ TEST(AllocFree, ProfilingEeg22StaysWithinAllocationBudget) {
   const profile::ProfileData pd = prof.run(traces, 8);
   const std::uint64_t allocs = util::allocation_count() - before;
   ASSERT_EQ(pd.num_events, 8u);
-  EXPECT_LE(allocs, 3000u) << allocs << " allocations";
+  EXPECT_LE(allocs, 2510u) << allocs << " allocations";
 }
 
 }  // namespace

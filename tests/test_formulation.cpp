@@ -85,8 +85,7 @@ TEST(Formulation, RestrictedModelFoldsNetworkIntoObjectiveInEdgeOrder) {
     for (std::size_t ei = 0; ei < p.num_edges(); ++ei) {
       const ProblemEdge& e = p.edges[ei];
       const ilp::Constraint& c = rows[3 + ei];
-      EXPECT_EQ(c.name, "mono_" + p.vertices[e.from].name + "_" +
-                            p.vertices[e.to].name);
+      EXPECT_EQ(c.name, "mono_" + std::to_string(ei));
       EXPECT_EQ(c.rel, ilp::Relation::kGe);
       EXPECT_EQ(c.rhs, 0.0);
       const std::vector<std::pair<int, double>> terms = {

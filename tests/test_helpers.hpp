@@ -8,6 +8,8 @@
 #include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
+#include "partition/closure.hpp"
+#include "partition/preprocess.hpp"
 #include "partition/problem.hpp"
 
 namespace wbtest {
@@ -81,6 +83,18 @@ inline partition::PartitionProblem random_problem(std::uint32_t seed,
   p.beta = 1.0;
   p.check();
   return p;
+}
+
+/// Whether solve_partition's closure fast path answers `p`: the
+/// min-weight closure of the problem it solves (condensed unless
+/// `preprocess` is off) fits every budget. Tests that exist to drive
+/// the simplex assert this is false for their instances.
+inline bool closure_fits(const partition::PartitionProblem& p,
+                         bool preprocess = true) {
+  const partition::PartitionProblem work =
+      preprocess ? partition::preprocess(p) : p;
+  const auto c = partition::min_weight_closure(work);
+  return c && partition::evaluate_assignment(work, c->sides).feasible(work);
 }
 
 /// A tiny runnable graph: source -> double -> half -> sink, where

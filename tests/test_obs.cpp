@@ -272,8 +272,10 @@ TEST(ObsMetrics, BnbReentryCountersExport) {
   // A solve must leave the per-mode re-entry and fallback counters
   // registered on the global registry, with valid Prometheus label
   // syntax (check_obs_export.py gates the same lines out of the serve
-  // bench's full-registry dump).
-  const auto p = wbtest::random_problem(7);
+  // bench's full-registry dump). Seed 5's closure breaks the CPU
+  // budget, so the solve runs branch and bound.
+  const auto p = wbtest::random_problem(5);
+  ASSERT_FALSE(wbtest::closure_fits(p));
   const auto r = partition::solve_partition(p, partition::PartitionOptions{});
   ASSERT_TRUE(r.feasible);
 
@@ -285,6 +287,37 @@ TEST(ObsMetrics, BnbReentryCountersExport) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
   EXPECT_GT(r.solver.lp_iterations, 0u);
+}
+
+TEST(ObsMetrics, PartitionSolvePathCountersExport) {
+  // Each solve_partition call counts once, under the path that
+  // answered it: seed 7's closure fits, seed 5's breaks a budget.
+  const std::string name = "wishbone_partition_solves";
+  const obs::Labels closure{{"path", "closure"}}, bnb{{"path", "bnb"}};
+  const auto fits = wbtest::random_problem(7);
+  const auto binds = wbtest::random_problem(5);
+  ASSERT_TRUE(wbtest::closure_fits(fits));
+  ASSERT_FALSE(wbtest::closure_fits(binds));
+  (void)partition::solve_partition(fits);  // registers both series
+  const double closure0 = wbtest::exported(name, closure);
+  const double bnb0 = wbtest::exported(name, bnb);
+
+  const auto a = partition::solve_partition(fits);
+  EXPECT_EQ(wbtest::exported(name, closure) - closure0, 1.0);
+  EXPECT_EQ(wbtest::exported(name, bnb) - bnb0, 0.0);
+  EXPECT_EQ(a.solver.lp_iterations, 0u);
+  const auto b = partition::solve_partition(binds);
+  EXPECT_EQ(wbtest::exported(name, closure) - closure0, 1.0);
+  EXPECT_EQ(wbtest::exported(name, bnb) - bnb0, 1.0);
+  EXPECT_GT(b.solver.lp_iterations, 0u);
+
+  const std::string text = obs::Registry::global().prometheus_text();
+  for (const char* needle :
+       {"# TYPE wishbone_partition_solves_total counter\n",
+        "wishbone_partition_solves_total{path=\"closure\"} ",
+        "wishbone_partition_solves_total{path=\"bnb\"} "}) {
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  }
 }
 
 TEST(ObsMetrics, ServeWarmBasisRejectReasonCountersExport) {
@@ -583,6 +616,9 @@ TEST(ObsServeTrace, SubmitProducesOneConnectedTrace) {
   so.workers = 0;  // pump mode: the solve runs on this thread
   serve::PartitionServer server(so);
   const auto p = wbtest::random_problem(5);
+  // Both solves run on the simplex: the closure breaks the CPU budget.
+  ASSERT_FALSE(wbtest::closure_fits(p));
+  ASSERT_FALSE(wbtest::closure_fits(scale_problem(p, 1.25)));
 
   auto f1 = server.submit(obs_request(p));
   ASSERT_TRUE(server.run_one());

@@ -361,7 +361,11 @@ namespace {
 /// below it the work->sink stream is silent (bandwidth exactly 0), so
 /// its term drops out of the net row and the ILP built at rate 4 is
 /// structurally different from the one at rate 6 — with the same shape
-/// (when preprocessing is off). The maximum sustainable rate is `knee`.
+/// (when preprocessing is off). `work` never fits the node's CPU, so
+/// every probe's min-weight closure (work on the node, where it cuts
+/// the radio load) breaks the CPU budget and branch and bound answers.
+/// The maximum sustainable rate, where work's input fits the radio, is
+/// `knee`.
 partition::PartitionProblem cliff_problem(double rate, double knee = 7.0) {
   partition::PartitionProblem p;
   partition::ProblemVertex src, work, sink;
@@ -369,7 +373,7 @@ partition::PartitionProblem cliff_problem(double rate, double knee = 7.0) {
   src.req = graph::Requirement::kNode;
   work.name = "work";
   work.req = graph::Requirement::kMovable;
-  work.cpu = rate / knee;
+  work.cpu = 1.0 + rate / knee;
   sink.name = "sink";
   sink.req = graph::Requirement::kServer;
   p.vertices = {src, work, sink};
@@ -377,7 +381,7 @@ partition::PartitionProblem cliff_problem(double rate, double knee = 7.0) {
   p.edges = {partition::ProblemEdge{0, 1, 100.0 * rate},
              partition::ProblemEdge{1, 2, out_bw}};
   p.cpu_budget = 1.0;
-  p.net_budget = 50.0 * knee;
+  p.net_budget = 100.0 * knee;
   p.alpha = 0.0;
   p.beta = 1.0;
   return p;
@@ -397,6 +401,9 @@ TEST(BasisCompat, RateSearchColdStartsWhenProbeChangesStructure) {
   opts.max_rate = 1000.0;
   opts.rel_tol = 0.001;
   opts.partition.preprocess = false;  // keep every probe the same shape
+  for (double rate : {0.5, 4.0, 6.0, 1000.0}) {
+    ASSERT_FALSE(wbtest::closure_fits(problem_at(rate), false)) << rate;
+  }
 
   const auto res = partition::max_sustainable_rate(problem_at, opts);
   ASSERT_TRUE(res.any_feasible);
@@ -474,6 +481,10 @@ TEST(Serve, DifferentialAgainstDirectSolves) {
     }
 
     // Round 3: drifted profiles — stale cells, warm-started re-solves.
+    // Seed 1's closure breaks the CPU budget before and after drift, so
+    // its re-solves run on the simplex and hand on a basis.
+    ASSERT_FALSE(wbtest::closure_fits(problems[0]));
+    ASSERT_FALSE(wbtest::closure_fits(drift(problems[0], 1.35)));
     for (std::size_t i = 0; i < problems.size(); ++i) {
       const auto drifted = drift(problems[i], 1.35);
       const SolveResponse r = server.submit(request_for(drifted, "mote")).get();
@@ -616,6 +627,9 @@ TEST(Serve, WarmBasisFlowsAcrossDriftedResolves) {
   so.workers = 0;
   PartitionServer server(so);
   const auto p = wbtest::random_problem(5);
+  // Both solves run on the simplex: the closure breaks the CPU budget.
+  ASSERT_FALSE(wbtest::closure_fits(p));
+  ASSERT_FALSE(wbtest::closure_fits(drift(p, 1.25)));
 
   auto f1 = server.submit(request_for(p, "mote"));
   ASSERT_TRUE(server.run_one());
@@ -651,6 +665,7 @@ TEST(Serve, StructureRejectedDonorMovesEveryRejectViewByOne) {
   so.partition.preprocess = false;  // keep both problems the same shape
   PartitionServer server(so);
   for (double rate : {6.0, 4.0}) {
+    ASSERT_FALSE(wbtest::closure_fits(cliff_problem(rate), false));
     SolveRequest req;
     req.problem = cliff_problem(rate);
     req.platform_id = "mote";
