@@ -1,5 +1,6 @@
 #include "core/wishbone.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -36,54 +37,58 @@ CompileReport Wishbone::run(const profile::ProfileData& pd,
   rep.requested_rate = events_per_sec;
   rep.pins = graph::analyze_pins(g_, opts_.mode);
 
+  // make_problem gives operator v vertex v, so the sides solve_partition
+  // returns are already indexed by OperatorId.
   auto problem_at = [&](double rate) {
     return partition::make_problem(g_, rep.pins, pd, platform_, rate);
   };
 
-  partition::PartitionProblem prob = problem_at(events_per_sec);
-  partition::PartitionResult res =
-      partition::solve_partition(prob, opts_.partition);
+  partition::PartitionResult res;
+  std::optional<partition::RateSearchResult> found;
+  if (opts_.search_rate_on_overload) {
+    // The search's first probe is the solve at the requested rate, and
+    // only that probe can return exactly max_rate, so a fit there needs
+    // no solve of its own.
+    partition::RateSearchOptions rs;
+    rs.partition = opts_.partition;
+    rs.min_rate = events_per_sec / 4096.0;
+    rs.max_rate = events_per_sec;
+    rs.rel_tol = opts_.rate_search_rel_tol;
+    found = partition::max_sustainable_rate(problem_at, rs);
+    if (found->any_feasible && found->max_rate == events_per_sec) {
+      res = std::move(found->partition_at_max);
+    }
+  } else {
+    res = partition::solve_partition(problem_at(events_per_sec),
+                                     opts_.partition);
+  }
 
   std::ostringstream msg;
   if (res.feasible) {
     rep.feasible_at_requested_rate = true;
     rep.partition_rate = events_per_sec;
-    res.sides = partition::expand_assignment(prob, res.sides,
-                                             g_.num_operators());
     rep.partition = std::move(res);
     msg << "feasible at " << events_per_sec << " events/s on "
         << platform_.name << ": " << rep.partition.node_partition_size
         << " operators in the node partition, CPU "
-        << rep.partition.cpu_used << " of " << prob.cpu_budget
+        << rep.partition.cpu_used << " of " << platform_.cpu_budget
         << ", uplink " << rep.partition.net_used << " of "
-        << prob.net_budget << " B/s";
+        << platform_.radio_bytes_per_sec << " B/s";
   } else {
     msg << "no partition fits at " << events_per_sec << " events/s on "
-        << platform_.name << " (CPU budget " << prob.cpu_budget
-        << ", uplink budget " << prob.net_budget << " B/s)";
-    if (opts_.search_rate_on_overload) {
-      partition::RateSearchOptions rs;
-      rs.partition = opts_.partition;
-      rs.min_rate = events_per_sec / 4096.0;
-      rs.max_rate = events_per_sec;
-      rs.rel_tol = opts_.rate_search_rel_tol;
-      const partition::RateSearchResult found =
-          partition::max_sustainable_rate(problem_at, rs);
-      if (found.any_feasible) {
-        rep.max_sustainable_rate = found.max_rate;
-        rep.partition_rate = found.max_rate;
-        partition::PartitionProblem prob_max = problem_at(found.max_rate);
-        rep.partition = found.partition_at_max;
-        rep.partition.sides = partition::expand_assignment(
-            prob_max, rep.partition.sides, g_.num_operators());
-        msg << "; maximum sustainable rate is " << found.max_rate
-            << " events/s (" << (100.0 * found.max_rate / events_per_sec)
-            << "% of requested) — reduce the sampling rate or accept "
-            << "load shedding at the sources";
-      } else {
-        msg << "; no rate admits a partition: the pinned operators alone "
-            << "exceed the budgets — use a more capable platform";
-      }
+        << platform_.name << " (CPU budget " << platform_.cpu_budget
+        << ", uplink budget " << platform_.radio_bytes_per_sec << " B/s)";
+    if (found && found->any_feasible) {
+      rep.max_sustainable_rate = found->max_rate;
+      rep.partition_rate = found->max_rate;
+      rep.partition = std::move(found->partition_at_max);
+      msg << "; maximum sustainable rate is " << found->max_rate
+          << " events/s (" << (100.0 * found->max_rate / events_per_sec)
+          << "% of requested) — reduce the sampling rate or accept "
+          << "load shedding at the sources";
+    } else if (found) {
+      msg << "; no rate admits a partition: the pinned operators alone "
+          << "exceed the budgets — use a more capable platform";
     }
   }
   rep.message = msg.str();

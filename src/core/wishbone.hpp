@@ -36,7 +36,8 @@ struct CompileOptions {
   graph::Mode mode = graph::Mode::kPermissive;
   partition::PartitionOptions partition;
   /// When the requested rate is infeasible, search for the maximum
-  /// sustainable rate instead of failing outright (§4.3).
+  /// sustainable rate instead of failing outright (§4.3). The search's
+  /// first probe is then the solve at the requested rate.
   bool search_rate_on_overload = true;
   double rate_search_rel_tol = 0.01;
 };

@@ -85,7 +85,6 @@ class CostMeter {
   [[nodiscard]] std::vector<LoopRecord> take_loops() && {
     return std::move(loops_);
   }
-  [[nodiscard]] bool in_loop() const { return !open_.empty(); }
 
   void reset();
 

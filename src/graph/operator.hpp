@@ -98,12 +98,6 @@ struct OperatorInfo {
   /// the profile": buffers sized by the operator's typical frames.
   std::size_t ram_bytes = 0;
   std::size_t rom_bytes = 0;
-
-  /// True if §2.1.1 pins this operator to its namespace's partition
-  /// regardless of mode: sources/sinks, and side-effecting operators.
-  [[nodiscard]] bool intrinsically_pinned() const {
-    return is_source || is_sink || side_effects;
-  }
 };
 
 /// Adapter turning a stateless callable into an OperatorImpl.

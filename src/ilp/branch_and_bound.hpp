@@ -40,9 +40,6 @@ struct MipOptions {
   double time_limit_s = kInf;   ///< wall-clock budget
   std::size_t max_nodes = 1'000'000;
   SimplexOptions lp;            ///< options for per-node LP solves
-  /// Optional feasible starting point (e.g. from a rounding heuristic);
-  /// installed as the incumbent at time zero if it checks out.
-  std::optional<std::vector<double>> warm_start;
   /// Optional primal heuristic: called with the fractional LP solution
   /// of every node; may return a candidate integral assignment, which
   /// is installed as the incumbent when it is feasible and improving.
@@ -60,8 +57,9 @@ struct MipOptions {
   /// solution moves them off their bound (requires an incumbent).
   bool reduced_cost_fixing = true;
   /// Optional basis inherited from a structurally identical solve (e.g.
-  /// the previous rate-search probe); loaded into the shared state
-  /// before the root LP. Ignored on shape mismatch.
+  /// the previous rate-search probe); every worker loads it into its
+  /// SimplexState before its first node LP. A basis load_basis rejects
+  /// means a cold start.
   std::optional<Basis> warm_basis;
   /// Number of branch-and-bound workers. 1 (default) runs the search
   /// inline on the calling thread — bit-reproducible run-to-run. N > 1
@@ -84,7 +82,7 @@ struct MipOptions {
 struct IncumbentRecord {
   double time_s = 0.0;    ///< seconds since solve() began
   double objective = 0.0;
-  std::size_t node = 0;   ///< B&B node index that produced it (0 = warm)
+  std::size_t node = 0;   ///< B&B node that produced it (from 1; 0 = none)
 };
 
 /// Per-worker counters of a (possibly parallel) branch-and-bound run.
@@ -148,21 +146,17 @@ struct MipResult {
   /// Basis of the shared simplex state at termination; thread it into
   /// MipOptions::warm_basis of the next structurally identical solve.
   Basis final_basis;
-  /// True when MipOptions::warm_basis was present, well-shaped, and
-  /// factorized cleanly (false = the solve fell back to a cold basis).
-  bool warm_basis_loaded = false;
-  /// True when MipOptions::warm_basis was present but failed the
-  /// pre-flight compatibility check (Basis::compatible_with: shape +
-  /// structure hash) — the inherited basis came from a *structurally
-  /// different* formulation and the solve cold-started instead of
-  /// loading it. Distinct from !warm_basis_loaded, which also covers
-  /// singular/degenerate factorization fallbacks of compatible bases.
-  bool warm_basis_rejected = false;
-  /// Why the inherited warm basis was not used: kShape / kStructure for
-  /// pre-flight rejections (warm_basis_rejected == true), kSingular
-  /// when the compatible basis failed to load, kNone when it loaded
-  /// fine or none was supplied. The serve cache breaks its
+  /// The verdict of worker 0's load_basis on MipOptions::warm_basis,
+  /// read three ways. warm_basis_loaded: the basis loaded (false = the
+  /// solve fell back to a cold basis, or none was supplied).
+  /// warm_basis_rejected: the basis came from a model of another shape
+  /// or constraint structure (kShape / kStructure), as opposed to a
+  /// fitting basis that failed to factorize (kSingular).
+  /// warm_basis_reject_reason: why it did not load (kNone when it loaded
+  /// or none was supplied); the serve cache breaks its
   /// warm_basis_rejected counter out by this reason.
+  bool warm_basis_loaded = false;
+  bool warm_basis_rejected = false;
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
   /// Parallel-search telemetry: the worker count the solve actually ran

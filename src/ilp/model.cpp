@@ -61,10 +61,8 @@ void LinearProgram::add_constraint(Constraint c) {
 void LinearProgram::set_bounds(int v, double lower, double upper) {
   check_var(v);
   WB_REQUIRE(lower <= upper, "set_bounds: lower > upper");
-  if (lower_[v] == lower && upper_[v] == upper) return;
   lower_[v] = lower;
   upper_[v] = upper;
-  ++bounds_revision_;
 }
 
 std::uint64_t LinearProgram::structure_hash() const {
@@ -72,7 +70,7 @@ std::uint64_t LinearProgram::structure_hash() const {
                                  static_cast<std::uint64_t>(num_variables()));
   h = hash_combine(h, static_cast<std::uint64_t>(constraints_.size()));
   h = hash_combine(h, rows_digest_);
-  return h == 0 ? 1 : h;  // reserve 0 for "unstamped"
+  return h == 0 ? 1 : h;  // 0 is a default Basis's hash
 }
 
 double LinearProgram::objective_value(const std::vector<double>& x) const {

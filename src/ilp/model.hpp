@@ -37,16 +37,8 @@ class LinearProgram {
   void add_constraint(Constraint c);
 
   /// Tightens (replaces) the bounds of variable `v` without rebuilding
-  /// the model. Bumps the bound revision counter so attached solver
-  /// state (SimplexState::sync_bounds) can detect the change cheaply.
+  /// the model.
   void set_bounds(int v, double lower, double upper);
-
-  /// Monotone counter incremented by every effective set_bounds call.
-  /// Solver state records the revision it last mirrored; equality means
-  /// the bounds it holds are current and a resync is a no-op.
-  [[nodiscard]] std::uint64_t bounds_revision() const {
-    return bounds_revision_;
-  }
 
   /// Fingerprint of the model's *structure*: variable count, row count
   /// and, per constraint row in order, the relation and the sorted set
@@ -58,12 +50,13 @@ class LinearProgram {
   /// identical" contract of Basis. Duplicate mentions of a variable in
   /// a row collapse to one (SimplexState coalesces them the same way);
   /// zero coefficients are skipped (they never enter the working form's
-  /// numerics). Never returns 0, so 0 can serve as "unstamped".
+  /// numerics). Never returns 0, so a default-constructed Basis
+  /// (structure_hash 0) loads into no model.
   ///
   /// O(1): add_constraint folds each row into a running digest as it
   /// arrives, and only add_variable / add_constraint change the result
-  /// (set_bounds does not), so every caller — the branch-and-bound
-  /// pre-flight, each SimplexState — reads the same memoized value.
+  /// (set_bounds does not), so every SimplexState built over the model
+  /// reads the same memoized value.
   [[nodiscard]] std::uint64_t structure_hash() const;
 
   [[nodiscard]] int num_variables() const { return static_cast<int>(lower_.size()); }
@@ -95,7 +88,6 @@ class LinearProgram {
   std::vector<double> obj_;
   std::vector<bool> integer_;
   std::vector<Constraint> constraints_;
-  std::uint64_t bounds_revision_ = 0;
   std::uint64_t rows_digest_ = 0;  ///< structure of the rows added so far
 };
 

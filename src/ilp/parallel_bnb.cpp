@@ -164,17 +164,6 @@ class Search {
   Search(const LinearProgram& lp, const MipOptions& opts, int num_workers)
       : lp_(lp), opts_(opts), num_workers_(num_workers),
         n_(lp.num_variables()) {
-    // Pre-flight the inherited basis once, not once per worker: a
-    // basis threaded in from a previous solve (rate-search probe,
-    // partition-server cache neighbor) is only loadable when the
-    // formulation kept the same shape and constraint structure. An
-    // incompatible basis means a cold start, surfaced through
-    // MipResult::warm_basis_rejected so callers can count stale
-    // inherits instead of silently paying for N futile load attempts.
-    if (opts_.warm_basis && !opts_.warm_basis->empty()) {
-      warm_reject_ = opts_.warm_basis->compatibility_with(lp);
-      warm_compatible_ = warm_reject_ == BasisRejectReason::kNone;
-    }
     root_lo_.resize(n_);
     root_hi_.resize(n_);
     for (int v = 0; v < n_; ++v) {
@@ -199,16 +188,6 @@ class Search {
     obs::Span search_span =
         obs::Tracer::global().span("bnb.search", opts_.trace);
     search_ctx_ = search_span.context();
-
-    if (opts_.warm_start) {
-      WB_REQUIRE(static_cast<int>(opts_.warm_start->size()) == n_,
-                 "warm start has wrong dimension");
-      if (lp_.max_violation(*opts_.warm_start) <= kIntTol) {
-        std::vector<double> x0 = *opts_.warm_start;
-        const double obj = lp_.objective_value(x0);
-        try_update_incumbent(std::move(x0), obj, /*node=*/0, /*worker=*/0);
-      }
-    }
 
     // Root node seeds shard 0; idle workers steal it (or its children).
     push(/*shard=*/0, Node{nullptr, -kInf, 0, nullptr});
@@ -243,18 +222,12 @@ class Search {
 
     const int basis_from = has_inc_ && inc_worker_ >= 0 ? inc_worker_ : 0;
     res.final_basis = std::move(final_bases_[basis_from]);
-    res.warm_basis_loaded = warm_loaded_;
+    res.warm_basis_loaded = warm_verdict_ == BasisRejectReason::kNone;
+    res.warm_basis_reject_reason =
+        warm_verdict_.value_or(BasisRejectReason::kNone);
     res.warm_basis_rejected =
-        opts_.warm_basis && !opts_.warm_basis->empty() && !warm_compatible_;
-    // Pre-flight rejections carry their reason; a compatible basis that
-    // still failed to load (singular factorization, strict bounds-
-    // revision check) reports the reason worker 0's load recorded.
-    if (res.warm_basis_rejected) {
-      res.warm_basis_reject_reason = warm_reject_;
-    } else if (opts_.warm_basis && !opts_.warm_basis->empty() &&
-               !warm_loaded_) {
-      res.warm_basis_reject_reason = warm_load_reject_;
-    }
+        res.warm_basis_reject_reason == BasisRejectReason::kShape ||
+        res.warm_basis_reject_reason == BasisRejectReason::kStructure;
 
     // Proven lower bound: the least bound among unexplored nodes (no
     // locks needed — workers are joined); exhausted tree = incumbent.
@@ -552,7 +525,9 @@ class Search {
       // on failure, which is still correct.
       obs::Span load_span =
           obs::Tracer::global().span("basis.load", node_span.context());
-      if (ctx.state.load_basis(*nd.snapshot)) ++tel.snapshot_reloads;
+      if (ctx.state.load_basis(*nd.snapshot) == BasisRejectReason::kNone) {
+        ++tel.snapshot_reloads;
+      }
     }
     if (!opts_.warm_lp) ctx.state.reset();  // seed behavior: cold per node
     // Prune threshold doubles as the LP's dual cutoff: on a dual
@@ -676,17 +651,17 @@ class Search {
   void run_worker(int w) {
     WorkerTelemetry& tel = tels_[w];
     WorkerContext ctx{SimplexState(lp_, opts_.lp), {}, {}};
-    if (warm_compatible_ && opts_.warm_basis && !opts_.warm_basis->empty()) {
+    if (opts_.warm_basis && !opts_.warm_basis->empty()) {
       // Every worker inherits the caller's basis: any of them may end
       // up solving the root (or an early steal) and the load is one
-      // refactorization against a search of many node LPs.
+      // refactorization against a search of many node LPs. A basis of
+      // another shape or structure is turned away in O(1), before any
+      // factorization. Worker 0's verdict is the one the result reports.
       obs::Span load_span =
           obs::Tracer::global().span("basis.load", search_ctx_);
-      const bool ok = ctx.state.load_basis(*opts_.warm_basis);
-      if (w == 0) {
-        warm_loaded_ = ok;
-        if (!ok) warm_load_reject_ = ctx.state.last_load_reject();
-      }
+      const BasisRejectReason verdict =
+          ctx.state.load_basis(*opts_.warm_basis);
+      if (w == 0) warm_verdict_ = verdict;
     }
     for (;;) {
       bool stolen = false;
@@ -744,12 +719,9 @@ class Search {
   /// join(): its counters and the basis its state held on exit.
   std::vector<WorkerTelemetry> tels_;
   std::vector<Basis> final_bases_;
-  bool warm_loaded_ = false;
-  bool warm_compatible_ = true;
-  BasisRejectReason warm_reject_ = BasisRejectReason::kNone;
-  /// Worker 0's load failure reason when the pre-flight passed but the
-  /// load itself did not (singular).
-  BasisRejectReason warm_load_reject_ = BasisRejectReason::kNone;
+  /// Worker 0's load_basis verdict on MipOptions::warm_basis (nullopt
+  /// when none was supplied).
+  std::optional<BasisRejectReason> warm_verdict_;
   /// Context of the bnb.search span; written in run() before workers
   /// spawn, read-only afterwards.
   obs::TraceContext search_ctx_;

@@ -31,8 +31,7 @@ const char* basis_reject_name(BasisRejectReason reason) {
 SimplexState::SimplexState(const LinearProgram& lp,
                            const SimplexOptions& opts)
     : n_struct_(lp.num_variables()),
-      m_(lp.num_constraints()), structure_hash_(lp.structure_hash()),
-      synced_revision_(lp.bounds_revision()) {
+      m_(lp.num_constraints()), structure_hash_(lp.structure_hash()) {
   const int n_total = n_struct_ + m_;
   lo_.resize(n_total);
   up_.resize(n_total);
@@ -148,94 +147,53 @@ void SimplexState::set_bounds(int v, double lo, double up) {
   if (lo_[v] == lo && up_[v] == up) return;
   lo_[v] = lo;
   up_[v] = up;
-  bounds_diverged_ = true;  // state no longer mirrors the source model
   reduced_costs_valid_ = false;
   if (in_basis_[v] < 0) snap_nonbasic(v);
   // Basic variables keep their value; if the edit pushed one outside
   // its bounds, the next solve()'s phase 1 repairs it from this basis.
 }
 
-void SimplexState::sync_bounds(const LinearProgram& lp) {
-  WB_REQUIRE(lp.num_variables() == n_struct_ &&
-                 lp.num_constraints() == m_,
-             "sync_bounds: model shape mismatch");
-  // The revision short-circuit is only sound when this state still
-  // mirrors the model it recorded the revision from: direct set_bounds
-  // calls on the state (or a different same-shape model) diverge it.
-  if (!bounds_diverged_ && lp.bounds_revision() == synced_revision_) return;
-  for (int v = 0; v < n_struct_; ++v) set_bounds(v, lp.lower(v), lp.upper(v));
-  synced_revision_ = lp.bounds_revision();
-  bounds_diverged_ = false;
-}
-
 Basis SimplexState::extract_basis() const {
   Basis b;
   b.basic = basic_;
   b.at_upper.assign(at_upper_.begin(), at_upper_.end());
-  b.num_rows = m_;
-  b.num_structural = n_struct_;
   b.structure_hash = structure_hash_;
   return b;
 }
 
-BasisRejectReason Basis::compatibility_with(const LinearProgram& lp) const {
-  if (static_cast<int>(basic.size()) != lp.num_constraints() ||
-      static_cast<int>(at_upper.size()) !=
-          lp.num_variables() + lp.num_constraints()) {
-    return BasisRejectReason::kShape;
-  }
-  if (stamped() && structure_hash != lp.structure_hash()) {
-    return BasisRejectReason::kStructure;
-  }
-  return BasisRejectReason::kNone;
-}
-
-bool Basis::compatible_with(const LinearProgram& lp) const {
-  return compatibility_with(lp) == BasisRejectReason::kNone;
-}
-
-bool SimplexState::load_basis(const Basis& basis) {
-  last_load_reject_ = BasisRejectReason::kNone;
+BasisRejectReason SimplexState::load_basis(const Basis& basis) {
+  auto reject = [this](BasisRejectReason reason) {
+    reset();
+    return reason;
+  };
   const int n_total = n_struct_ + m_;
   if (static_cast<int>(basis.basic.size()) != m_ ||
       static_cast<int>(basis.at_upper.size()) != n_total) {
-    last_load_reject_ = BasisRejectReason::kShape;
-    reset();
-    return false;
+    return reject(BasisRejectReason::kShape);
   }
-  // A stamped basis must come from a structurally identical model:
-  // matching dimensions alone do not make row i's slack or column j's
-  // variable mean the same thing. Loading a structure-mismatched basis
-  // is never *unsound* (solve() re-repairs feasibility from any basis),
-  // but it installs garbage that phase 1 then grinds away from — the
+  // The basis must come from a structurally identical model: matching
+  // dimensions alone do not make row i's slack or column j's variable
+  // mean the same thing. Loading a structure-mismatched basis is never
+  // *unsound* (solve() re-repairs feasibility from any basis), but it
+  // installs garbage that phase 1 then grinds away from — the
   // stale-warm-basis bug this check turns into an explicit cold start.
-  if (basis.stamped() && basis.structure_hash != structure_hash_) {
-    last_load_reject_ = BasisRejectReason::kStructure;
-    reset();
-    return false;
+  if (basis.structure_hash != structure_hash_) {
+    return reject(BasisRejectReason::kStructure);
   }
   for (int v : basis.basic) {
-    if (v < 0 || v >= n_total) {
-      last_load_reject_ = BasisRejectReason::kShape;
-      reset();
-      return false;
-    }
+    if (v < 0 || v >= n_total) return reject(BasisRejectReason::kShape);
   }
   basic_ = basis.basic;
   in_basis_.assign(n_total, -1);
   for (int i = 0; i < m_; ++i) {
     if (in_basis_[basic_[i]] >= 0) {  // duplicate column
-      last_load_reject_ = BasisRejectReason::kShape;
-      reset();
-      return false;
+      return reject(BasisRejectReason::kShape);
     }
     in_basis_[basic_[i]] = i;
   }
   for (int j = 0; j < n_total; ++j) at_upper_[j] = basis.at_upper[j] != 0;
   if (!engine_->factorize(cols_, basic_)) {
-    last_load_reject_ = BasisRejectReason::kSingular;
-    reset();
-    return false;
+    return reject(BasisRejectReason::kSingular);
   }
   for (int j = 0; j < n_total; ++j) {
     if (in_basis_[j] < 0) snap_nonbasic(j);
@@ -245,7 +203,7 @@ bool SimplexState::load_basis(const Basis& basis) {
   recompute_basic_values();
   basics_dirty_ = false;
   reduced_costs_valid_ = false;
-  return true;
+  return BasisRejectReason::kNone;
 }
 
 double SimplexState::phase1_cost(int var) const {

@@ -63,11 +63,11 @@ enum class SolveStatus {
   kCutoff,
 };
 
-/// Why load_basis rejected (or would reject) an inherited basis.
+/// SimplexState::load_basis's verdict on an inherited basis.
 enum class BasisRejectReason {
-  kNone,            ///< not rejected
+  kNone,            ///< loaded
   kShape,           ///< dimension mismatch or malformed basic set
-  kStructure,       ///< stamped structure hash differs from the target
+  kStructure,       ///< structure hash differs from the target model's
   kSingular,        ///< refactorization of the loaded basis failed
 };
 
@@ -122,39 +122,21 @@ struct SimplexOptions {
 /// (same constraint rows and variable count), even when bounds or
 /// coefficients differ — loading refactorizes against the new matrix.
 ///
-/// Bases extracted by SimplexState::extract_basis carry a provenance
-/// stamp: the source model's shape and structure hash (sparsity
-/// pattern, see LinearProgram::structure_hash) at extraction.
-/// load_basis rejects a stamped basis whose structure does not match
-/// the target state — threading a basis between formulations that
-/// merely *happen* to share dimensions (a rate-search probe whose
-/// preprocessing merged differently, a cache-adjacent server request
-/// for a different graph) must fall back to a cold start instead of
-/// installing a basis whose rows and columns mean something else.
-/// Hand-built bases (structure_hash == 0) keep the legacy shape-only
-/// validation.
+/// SimplexState::extract_basis stamps each basis with the source
+/// model's structure hash (sparsity pattern, see
+/// LinearProgram::structure_hash), and load_basis rejects a basis whose
+/// hash differs from the target's — threading a basis between
+/// formulations that merely *happen* to share dimensions (a rate-search
+/// probe whose preprocessing merged differently, a cache-adjacent
+/// server request for a different graph) must fall back to a cold start
+/// instead of installing a basis whose rows and columns mean something
+/// else. A basis built by hand sets structure_hash itself.
 struct Basis {
   std::vector<int> basic;              ///< size m (one variable per row)
   std::vector<std::uint8_t> at_upper;  ///< size n + m
-  int num_rows = 0;                    ///< m of the source model
-  int num_structural = 0;              ///< n of the source model
-  std::uint64_t structure_hash = 0;    ///< 0 = unstamped (hand-built)
+  std::uint64_t structure_hash = 0;    ///< of the source model
 
   [[nodiscard]] bool empty() const { return basic.empty(); }
-  [[nodiscard]] bool stamped() const { return structure_hash != 0; }
-
-  /// True when loading into a state built over `lp` can succeed: the
-  /// shape matches and, for a stamped basis, the constraint structure
-  /// does too. The cheap pre-flight check callers (branch and bound,
-  /// the rate search, the partition server) run before paying for a
-  /// SimplexState + refactorization.
-  [[nodiscard]] bool compatible_with(const LinearProgram& lp) const;
-
-  /// Same pre-flight check, but reporting *why* loading would fail
-  /// (kShape / kStructure) instead of a bare bool — the serve cache
-  /// breaks its warm_basis_rejected counter out by this reason.
-  [[nodiscard]] BasisRejectReason compatibility_with(
-      const LinearProgram& lp) const;
 };
 
 /// Persistent, re-enterable simplex working state over one model shape.
@@ -175,15 +157,8 @@ class SimplexState {
   /// snapped onto the bound it rests on.
   void set_bounds(int v, double lo, double up);
 
-  /// Re-reads all structural bounds from `lp` (which must be the model
-  /// this state was built from, or one of identical shape). Cheap: the
-  /// model's bound revision counter short-circuits the no-change case.
-  void sync_bounds(const LinearProgram& lp);
-
   [[nodiscard]] double lower(int v) const { return lo_[v]; }
   [[nodiscard]] double upper(int v) const { return up_[v]; }
-  [[nodiscard]] int num_structural() const { return n_struct_; }
-  [[nodiscard]] int num_rows() const { return m_; }
 
   /// Optimizes from the current basis (warm). A primal-infeasible
   /// basis that is not the crash basis and passes dual_feasible() is
@@ -211,17 +186,12 @@ class SimplexState {
   [[nodiscard]] Basis extract_basis() const;
 
   /// Installs an inherited basis and refactorizes the basis inverse;
-  /// the next solve() may re-enter it by the dual simplex. On shape
-  /// mismatch or a singular basis the state falls back to the
-  /// cold-start basis and returns false; last_load_reject() then says
-  /// why.
-  bool load_basis(const Basis& basis);
-
-  /// Why the most recent load_basis call rejected its basis (kNone
-  /// after a successful load or before any load).
-  [[nodiscard]] BasisRejectReason last_load_reject() const {
-    return last_load_reject_;
-  }
+  /// the next solve() may re-enter it by the dual simplex. This is the
+  /// one place that decides whether a basis fits: the shape and
+  /// structure-hash checks run in O(1) before any factorization. Returns
+  /// kNone when the basis loaded; otherwise the state falls back to the
+  /// cold-start basis and the result says why.
+  BasisRejectReason load_basis(const Basis& basis);
 
   /// Reduced costs of the structural variables (model order) for the
   /// current basis (meaningful after a solve() that returned kOptimal);
@@ -307,9 +277,6 @@ class SimplexState {
   bool crash_basis_ = true;
   bool basics_dirty_ = false;  ///< bound edits invalidated basic values
   mutable bool reduced_costs_valid_ = false;
-  std::uint64_t synced_revision_ = 0;  ///< model bound revision mirrored
-  bool bounds_diverged_ = false;  ///< state bounds edited past the model
-  BasisRejectReason last_load_reject_ = BasisRejectReason::kNone;
   std::size_t iters_ = 0;      ///< iterations of the current solve()
   int degenerate_run_ = 0;
 };

@@ -89,13 +89,6 @@ ilp::MipResult solve_ilp(const PartitionProblem& work,
 
 }  // namespace
 
-std::vector<Side> PartitionResult::operator_assignment(
-    const PartitionProblem& solved_problem,
-    std::size_t num_operators) const {
-  WB_REQUIRE(feasible, "no assignment: partition was infeasible");
-  return expand_assignment(solved_problem, sides, num_operators);
-}
-
 PartitionResult solve_partition(const PartitionProblem& p,
                                 const PartitionOptions& opts) {
   PartitionResult res;

@@ -47,12 +47,6 @@ struct PartitionResult {
 
   PreprocessStats prep;
   ilp::MipResult solver;           ///< includes Fig. 6 timing data
-
-  /// Expands sides to original operators (requires the problem that
-  /// produced this result).
-  [[nodiscard]] std::vector<Side> operator_assignment(
-      const PartitionProblem& solved_problem,
-      std::size_t num_operators) const;
 };
 
 /// Partitions `p`. The returned sides index the vertices of `p` itself

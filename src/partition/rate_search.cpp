@@ -14,12 +14,12 @@ RateSearchResult max_sustainable_rate(
   // Successive probes usually solve structurally identical ILPs (same
   // graph, rescaled coefficients), so each solve inherits the previous
   // probe's final simplex basis; loading costs one refactorization
-  // under the configured basis engine. The solver pre-flights the
-  // inherited basis (Basis::compatible_with: shape + structure hash)
-  // and cold-starts when this rate's formulation differs — matching
-  // dimensions alone are not enough, since preprocessing can merge
-  // differently and resource rows can appear or vanish with the rate
-  // (probes_with_rejected_basis counts those stale inherits).
+  // under the configured basis engine. load_basis checks the inherited
+  // basis's shape and structure hash first and cold-starts when this
+  // rate's formulation differs — matching dimensions alone are not
+  // enough, since preprocessing can merge differently and resource rows
+  // can appear or vanish with the rate (probes_with_rejected_basis
+  // counts those stale inherits).
   ilp::Basis carried_basis;
   auto attempt = [&](double rate) {
     ++res.partitions_solved;
@@ -60,6 +60,7 @@ RateSearchResult max_sustainable_rate(
   for (std::size_t i = 0;
        i < opts.max_iterations && (hi - lo) > opts.rel_tol * lo; ++i) {
     const double mid = 0.5 * (lo + hi);
+    if (!(mid > lo && mid < hi)) break;  // lo and hi are adjacent doubles
     PartitionResult r = attempt(mid);
     if (r.feasible) {
       lo = mid;

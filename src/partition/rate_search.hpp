@@ -22,7 +22,10 @@ struct RateSearchOptions {
 
 struct RateSearchResult {
   bool any_feasible = false;
-  double max_rate = 0.0;            ///< highest rate proven feasible
+  /// Highest rate proven feasible. The first probe solves at
+  /// opts.max_rate and every later one strictly inside the bracket, so
+  /// max_rate == opts.max_rate exactly when that first probe fits.
+  double max_rate = 0.0;
   PartitionResult partition_at_max; ///< the cut found at that rate
   std::size_t partitions_solved = 0;
 
@@ -36,8 +39,8 @@ struct RateSearchResult {
   /// Probes that *rejected* the inherited basis because the formulation
   /// changed shape or constraint structure between rates (preprocessing
   /// merged differently, a resource row appeared/vanished). Those
-  /// probes cold-start — the stale-basis compatibility check in
-  /// Basis::compatible_with / SimplexState::load_basis at work.
+  /// probes cold-start — SimplexState::load_basis's structure check at
+  /// work.
   std::size_t probes_with_rejected_basis = 0;
 };
 

@@ -28,8 +28,8 @@ SolveResponse terminal_response(ResponseSource source, CacheOutcome outcome) {
 obs::InstanceCounter PartitionServer::reject_counter(
     ilp::BasisRejectReason reason) {
   // The unlabeled series is the sum of the shape and structure series:
-  // the donors the pre-flight check refused. Singular load failures
-  // count only under their own reason.
+  // the donors that came from another formulation. Singular load
+  // failures count only under their own reason.
   return obs::InstanceCounter(
       "wishbone_serve_warm_basis_rejected",
       {{"reason", ilp::basis_reject_name(reason)}}, obs::Registry::global(),
@@ -255,10 +255,9 @@ bool PartitionServer::run_one() {
 
   // Warm-basis reuse across cache-adjacent requests: the most recent
   // final basis for this (graph, platform) pair, from any profile cell.
-  // It is stamped with its formulation's structure hash, so the solver
-  // validates compatibility (Basis::compatible_with) before loading and
-  // cold-starts on mismatch — e.g. when drift zeroed a bandwidth and
-  // changed the active constraint structure.
+  // It carries its formulation's structure hash, so the solver's
+  // load_basis cold-starts on a mismatch — e.g. when drift zeroed a
+  // bandwidth and changed the active constraint structure.
   partition::PartitionOptions po = opts_.partition;
   ilp::Basis donor = cache_.warm_basis_donor(key.graph_hash, key.platform_id);
   if (!donor.empty()) po.mip.warm_basis = std::move(donor);
@@ -306,7 +305,6 @@ bool PartitionServer::run_one() {
   SolveResponse proto;
   proto.result = std::move(result);
   proto.cache_outcome = batch->outcome;
-  proto.warm_basis_used = proto.result->solver.warm_basis_loaded;
   proto.solve_s = solve_s;
   for (Batch::Waiter& w : waiters) {
     SolveResponse resp = proto;

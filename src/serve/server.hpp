@@ -13,10 +13,10 @@
 //  - warm-started re-solves: a drifted profile (stale cache outcome)
 //    re-solves, inheriting the most recent final simplex basis for its
 //    (graph, platform) pair the way rate_search threads a basis
-//    between probes. The donor basis is provenance-stamped and the
-//    solver validates structure compatibility before loading
-//    (ilp::Basis::compatible_with) — incompatible donors mean a cold
-//    solve, never a garbage basis.
+//    between probes. The donor basis carries its model's structure
+//    hash, and the solver's load_basis turns away a donor whose hash
+//    differs — an incompatible donor means a cold solve, never a
+//    garbage basis.
 //
 // Concurrency model: submit() is safe from any thread. A bounded FIFO
 // of distinct keys feeds `workers` solver threads; each solve runs the
@@ -85,7 +85,6 @@ struct SolveResponse {
   std::shared_ptr<const partition::PartitionResult> result;  ///< never null
   ResponseSource source = ResponseSource::kSolved;
   CacheOutcome cache_outcome = CacheOutcome::kMiss;
-  bool warm_basis_used = false;  ///< solve loaded a cache-adjacent basis
   double solve_s = 0.0;          ///< wall seconds inside solve_partition
 };
 
@@ -97,7 +96,7 @@ struct ServerStats {
   std::size_t solves = 0;
   std::size_t stale_resolves = 0;     ///< solves triggered by drift
   std::size_t warm_basis_used = 0;    ///< solves that loaded a donor basis
-  std::size_t warm_basis_rejected = 0;///< pre-flight: shape + structure
+  std::size_t warm_basis_rejected = 0;///< donors of another shape/structure
   std::size_t rejected = 0;           ///< try_submit failures (queue full)
   std::size_t shutdown_flushed = 0;   ///< queued jobs answered kShutdown
   std::size_t submit_timeouts = 0;    ///< blocked submits expired waiting

@@ -11,10 +11,10 @@
 //    drift-triggered re-solves separately from genuinely new work;
 //  - the most recent final simplex basis per (graph, platform) is kept
 //    as a warm-start donor: a drifted re-solve inherits it the way
-//    rate_search threads a basis between probes. The basis is stamped
-//    (ilp::Basis provenance) and the solver validates it against the
-//    new formulation before loading — an incompatible donor means a
-//    cold solve, never a garbage load.
+//    rate_search threads a basis between probes. The basis carries its
+//    model's structure hash, and SimplexState::load_basis turns it away
+//    when the new formulation's differs — an incompatible donor means
+//    a cold solve, never a garbage load.
 //
 // Thread safety: every public method is safe to call concurrently; one
 // mutex guards the map and the LRU list (the counters are lock-free
@@ -84,8 +84,8 @@ class SolveCache {
 
   /// Most recent final basis solved for (graph_hash, platform_id), or
   /// an empty basis. The donor for cache-adjacent warm starts; callers
-  /// hand it to MipOptions::warm_basis and rely on the solver's
-  /// compatibility validation (it is stamped).
+  /// hand it to MipOptions::warm_basis and rely on load_basis to turn
+  /// away a donor of another structure.
   [[nodiscard]] ilp::Basis warm_basis_donor(std::uint64_t graph_hash,
                                             const std::string& platform_id);
 

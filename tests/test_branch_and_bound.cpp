@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 
 #include "ilp/branch_and_bound.hpp"
@@ -111,31 +112,6 @@ TEST_P(KnapsackVsBruteForce, MatchesExhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KnapsackVsBruteForce, ::testing::Range(1, 9));
 
-TEST(BranchAndBound, WarmStartBecomesIncumbent) {
-  Knapsack k{{5.0, 4.0, 3.0}, {4.0, 3.0, 2.0}, 6.0};
-  MipOptions opts;
-  opts.warm_start = std::vector<double>{0.0, 1.0, 1.0};  // value 7
-  const auto res = solve_knapsack(k, opts);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal);
-  ASSERT_FALSE(res.incumbents.empty());
-  // The warm start was installed at node 0 before any search.
-  EXPECT_EQ(res.incumbents.front().node, 0u);
-  EXPECT_NEAR(res.incumbents.front().objective, -7.0, 1e-9);
-  EXPECT_NEAR(-res.objective, knapsack_brute_force(k), 1e-6);
-}
-
-TEST(BranchAndBound, InvalidWarmStartIgnored) {
-  Knapsack k{{5.0, 4.0}, {4.0, 3.0}, 5.0};
-  MipOptions opts;
-  opts.warm_start = std::vector<double>{1.0, 1.0};  // weight 7 > 5
-  const auto res = solve_knapsack(k, opts);
-  ASSERT_EQ(res.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(-res.objective, 5.0, 1e-6);
-  for (const auto& inc : res.incumbents) {
-    EXPECT_GT(inc.node, 0u);  // nothing installed at time zero
-  }
-}
-
 TEST(BranchAndBound, IncumbentTimelineImproves) {
   std::mt19937 rng(99);
   std::uniform_real_distribution<double> val(1.0, 10.0);
@@ -148,11 +124,17 @@ TEST(BranchAndBound, IncumbentTimelineImproves) {
   MipOptions opts;
   // The empty knapsack is feasible and the worst cut, so the search
   // must improve on it at least once: the timeline holds several
-  // incumbents.
-  opts.warm_start = std::vector<double>(k.value.size(), 0.0);
+  // incumbents. The rounding hook offers it at the root, where it
+  // becomes the first incumbent.
+  const std::vector<double> empty(k.value.size(), 0.0);
+  opts.rounding_hook = [&empty](const std::vector<double>&) {
+    return std::optional<std::vector<double>>(empty);
+  };
   const auto res = solve_knapsack(k, opts);
   ASSERT_EQ(res.status, SolveStatus::kOptimal);
   ASSERT_GE(res.incumbents.size(), 2u);
+  EXPECT_EQ(res.incumbents.front().node, 1u);
+  EXPECT_NEAR(res.incumbents.front().objective, 0.0, 1e-12);
   for (std::size_t i = 1; i < res.incumbents.size(); ++i) {
     EXPECT_LT(res.incumbents[i].objective,
               res.incumbents[i - 1].objective);

@@ -2,6 +2,7 @@
 
 #include "apps/speech.hpp"
 #include "core/wishbone.hpp"
+#include "test_helpers.hpp"
 #include "util/assert.hpp"
 
 using namespace wishbone;
@@ -78,6 +79,45 @@ TEST(Core, PartitionOnlyReusesProfile) {
   ASSERT_TRUE(fast.feasible_at_requested_rate);
   EXPECT_GE(slow.partition.node_partition_size,
             fast.partition.node_partition_size);
+}
+
+TEST(Core, OverloadSolvesTheRequestedRateOnce) {
+  // The rate search's first probe is the requested-rate solve, so an
+  // overloaded compile costs exactly the solves of the search itself.
+  apps::SpeechApp app = apps::build_speech_app();
+  profile::Profiler prof(app.g);
+  const auto pd = prof.run(apps::speech_traces(app, 40), 40);
+  app.g.reset_state();
+  const profile::PlatformModel plat = profile::tmote_sky();
+  const double rate = apps::SpeechApp::kFullRateEventsPerSec;
+  const core::CompileOptions opts;
+  core::Wishbone wb(app.g, plat, opts);
+  const std::string name = "wishbone_partition_solves";
+  auto solves = [&] {
+    return wbtest::exported(name, {{"path", "closure"}}) +
+           wbtest::exported(name, {{"path", "bnb"}});
+  };
+
+  const double before = solves();
+  const auto rep = wb.partition_only(pd, rate);
+  const double compile_solves = solves() - before;
+  ASSERT_FALSE(rep.feasible_at_requested_rate);
+  ASSERT_TRUE(rep.max_sustainable_rate.has_value()) << rep.message;
+
+  partition::RateSearchOptions rs;
+  rs.partition = opts.partition;
+  rs.min_rate = rate / 4096.0;
+  rs.max_rate = rate;
+  rs.rel_tol = opts.rate_search_rel_tol;
+  const auto pins = graph::analyze_pins(app.g, opts.mode);
+  const double mid = solves();
+  auto problem_at = [&](double r) {
+    return partition::make_problem(app.g, pins, pd, plat, r);
+  };
+  const auto found = partition::max_sustainable_rate(problem_at, rs);
+  EXPECT_EQ(compile_solves, solves() - mid);
+  EXPECT_EQ(compile_solves, static_cast<double>(found.partitions_solved));
+  EXPECT_EQ(*rep.max_sustainable_rate, found.max_rate);
 }
 
 TEST(Core, InvalidGraphRejected) {

@@ -52,7 +52,8 @@ TEST(Model, StructureHashFollowsRowsAndVariablesNotBounds) {
   const std::uint64_t h2 = lp.structure_hash();
   EXPECT_NE(h2, h1) << "add_constraint must change the hash";
   lp.set_bounds(x, 1.0, 2.0);
-  EXPECT_EQ(lp.bounds_revision(), 1u);
+  EXPECT_EQ(lp.lower(x), 1.0);
+  EXPECT_EQ(lp.upper(x), 2.0);
   EXPECT_EQ(lp.structure_hash(), h2) << "bounds are not structure";
 
   // The same structure built another way: other names, values, bounds

@@ -184,7 +184,7 @@ TEST(LpDifferential, DriftedLoadedBasesAgreeWithColdOracle) {
                                   " seed=" + std::to_string(seed) +
                                   " scale=" + std::to_string(s);
         SimplexState warm(next, engine_opts(kind));
-        ASSERT_TRUE(warm.load_basis(basis)) << label;
+        ASSERT_EQ(warm.load_basis(basis), BasisRejectReason::kNone) << label;
         const LpSolution got = warm.solve();
         ASSERT_EQ(got.status, ref.status)
             << label << "\nref: " << describe(ref)
@@ -239,8 +239,7 @@ TEST(LpDifferential, SingularLoadedBasesAreRejected) {
     b.basic.resize(m);
     for (int r = 0; r < m; ++r) b.basic[r] = m + r;
     b.at_upper.assign(2 * m, 0);
-    b.num_rows = m;
-    b.num_structural = m;
+    b.structure_hash = lp.structure_hash();
     return b;
   };
   std::vector<Basis> singular(3, slack_basis());
@@ -255,8 +254,8 @@ TEST(LpDifferential, SingularLoadedBasesAreRejected) {
       const std::string label =
           std::string(engine_name(kind)) + " case=" + std::to_string(c);
       SimplexState st(lp, engine_opts(kind));
-      EXPECT_FALSE(st.load_basis(singular[c])) << label;
-      EXPECT_EQ(st.last_load_reject(), BasisRejectReason::kSingular) << label;
+      EXPECT_EQ(st.load_basis(singular[c]), BasisRejectReason::kSingular)
+          << label;
       const LpSolution got = st.solve();
       ASSERT_EQ(got.status, SolveStatus::kOptimal) << label;
       EXPECT_NEAR(got.objective, ref.objective, 1e-9) << label;
@@ -264,7 +263,7 @@ TEST(LpDifferential, SingularLoadedBasesAreRejected) {
   }
   // The all-slack basis itself is fine.
   SimplexState st(lp, engine_opts(BasisEngineKind::kLu));
-  EXPECT_TRUE(st.load_basis(slack_basis()));
+  EXPECT_EQ(st.load_basis(slack_basis()), BasisRejectReason::kNone);
 }
 
 // ------------------------------------------------- MIPs through B&B
@@ -408,14 +407,16 @@ TEST(LpDifferential, BasisSnapshotsPortAcrossEngines) {
     ASSERT_EQ(rd.status, SolveStatus::kOptimal);
 
     SimplexState lu(lp, engine_opts(BasisEngineKind::kLu));
-    ASSERT_TRUE(lu.load_basis(dense.extract_basis())) << "seed=" << seed;
+    ASSERT_EQ(lu.load_basis(dense.extract_basis()), BasisRejectReason::kNone)
+        << "seed=" << seed;
     const LpSolution rl = lu.solve();
     ASSERT_EQ(rl.status, SolveStatus::kOptimal) << "seed=" << seed;
     EXPECT_NEAR(rl.objective, rd.objective, 1e-9) << "seed=" << seed;
     EXPECT_LE(rl.iterations, 2u) << "seed=" << seed;
 
     SimplexState dense2(lp, engine_opts(BasisEngineKind::kDense));
-    ASSERT_TRUE(dense2.load_basis(lu.extract_basis())) << "seed=" << seed;
+    ASSERT_EQ(dense2.load_basis(lu.extract_basis()), BasisRejectReason::kNone)
+        << "seed=" << seed;
     const LpSolution rd2 = dense2.solve();
     ASSERT_EQ(rd2.status, SolveStatus::kOptimal) << "seed=" << seed;
     EXPECT_NEAR(rd2.objective, rd.objective, 1e-9) << "seed=" << seed;

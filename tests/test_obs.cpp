@@ -630,7 +630,7 @@ TEST(ObsServeTrace, SubmitProducesOneConnectedTrace) {
   ASSERT_TRUE(server.run_one());
   const serve::SolveResponse warm = f2.get();
   ASSERT_TRUE(warm.result->feasible);
-  EXPECT_TRUE(warm.warm_basis_used);
+  EXPECT_TRUE(warm.result->solver.warm_basis_loaded);
 
   const auto spans = tracer.collect();
   // The two submits opened the two root traces, in submission order —

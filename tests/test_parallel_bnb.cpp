@@ -239,6 +239,49 @@ TEST(ParallelBnb, ThreadsZeroResolvesToHardware) {
   expect_same_answer(serial, par, lp, "threads=0");
 }
 
+namespace {
+
+/// `lp` with the first term of row 0 dropped: the same shape (variable
+/// and row counts) but another constraint structure.
+LinearProgram restructured(const LinearProgram& lp) {
+  LinearProgram out;
+  for (int v = 0; v < lp.num_variables(); ++v) {
+    (void)out.add_variable(lp.variable_name(v), lp.lower(v), lp.upper(v),
+                           lp.objective_coeff(v), lp.is_integer(v));
+  }
+  for (std::size_t r = 0; r < lp.constraints().size(); ++r) {
+    Constraint c = lp.constraints()[r];
+    if (r == 0) c.terms.erase(c.terms.begin());
+    out.add_constraint(std::move(c));
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ParallelBnb, StructureRejectedWarmBasisColdStartsEveryWorker) {
+  // A donor basis from a structurally different model of the same
+  // shape: every worker's load_basis turns it away, and the solve gives
+  // the cold solve's answer at any thread count.
+  const LinearProgram lp = gen_partition_shaped(9950, /*integral=*/true);
+  const LinearProgram other = restructured(lp);
+  ASSERT_NE(other.structure_hash(), lp.structure_hash());
+  const MipResult donor = BranchAndBound().solve(other, with_threads(1));
+  ASSERT_FALSE(donor.final_basis.empty());
+  const MipResult cold = BranchAndBound().solve(lp, with_threads(1));
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    MipOptions opts = with_threads(threads);
+    opts.warm_basis = donor.final_basis;
+    const MipResult r = BranchAndBound().solve(lp, opts);
+    EXPECT_TRUE(r.warm_basis_rejected) << label;
+    EXPECT_EQ(r.warm_basis_reject_reason, BasisRejectReason::kStructure)
+        << label;
+    EXPECT_FALSE(r.warm_basis_loaded) << label;
+    expect_same_answer(cold, r, lp, "rejected basis " + label);
+  }
+}
+
 TEST(ParallelBnb, WarmBasisLoadsIntoEveryWorker) {
   // A basis inherited from a previous structurally identical solve
   // must load (and report as loaded) regardless of thread count.

@@ -84,6 +84,24 @@ TEST(RateSearch, ResultRespectsTolerance) {
   EXPECT_GE(res.max_rate, knee * 0.95);
 }
 
+TEST(RateSearch, ZeroToleranceStopsAtAdjacentRates) {
+  // With rel_tol 0 the bracket closes to adjacent doubles, where a
+  // midpoint can only repeat an end point: the search stops there, and
+  // every probe after the first stays strictly below max_rate.
+  const double knee = 7.0;
+  RateSearchOptions opts;
+  opts.min_rate = 0.01;
+  opts.max_rate = 1000.0;
+  opts.rel_tol = 0.0;
+  opts.max_iterations = 500;
+  const auto res = max_sustainable_rate(
+      [&](double r) { return scaled_problem(r, knee); }, opts);
+  ASSERT_TRUE(res.any_feasible);
+  EXPECT_LT(res.max_rate, opts.max_rate);
+  EXPECT_NEAR(res.max_rate, knee, 0.05 * knee);
+  EXPECT_LT(res.partitions_solved, 100u);
+}
+
 TEST(RateSearch, BadBracketThrows) {
   RateSearchOptions opts;
   opts.min_rate = 10.0;

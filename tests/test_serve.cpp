@@ -324,15 +324,13 @@ TEST(BasisCompat, LoadRejectsSameShapeDifferentStructure) {
   ilp::SimplexState sa(a);
   ASSERT_EQ(sa.solve().status, ilp::SolveStatus::kOptimal);
   const ilp::Basis basis = sa.extract_basis();
-  ASSERT_TRUE(basis.stamped());
-  EXPECT_EQ(basis.num_rows, 2);
-  EXPECT_EQ(basis.num_structural, 2);
+  ASSERT_EQ(basis.structure_hash, a.structure_hash());
+  EXPECT_EQ(basis.basic.size(), 2u);     // m
+  EXPECT_EQ(basis.at_upper.size(), 4u);  // n + m
 
-  EXPECT_TRUE(basis.compatible_with(a));
-  EXPECT_FALSE(basis.compatible_with(b));  // the regression: same shape!
-
+  // The regression: same shape, so only the structure hash tells.
   ilp::SimplexState sb(b);
-  EXPECT_FALSE(sb.load_basis(basis));  // rejected, falls back cold
+  EXPECT_EQ(sb.load_basis(basis), ilp::BasisRejectReason::kStructure);
   const ilp::LpSolution sol = sb.solve();
   ASSERT_EQ(sol.status, ilp::SolveStatus::kOptimal);
   // min -x - y s.t. x <= 6, 2x + y <= 9: optimum x = 0, y = 9.
@@ -340,19 +338,7 @@ TEST(BasisCompat, LoadRejectsSameShapeDifferentStructure) {
 
   // Re-loading into a state over the source model still works.
   ilp::SimplexState sa2(a);
-  EXPECT_TRUE(sa2.load_basis(basis));
-}
-
-TEST(BasisCompat, UnstampedBasisKeepsShapeOnlyValidation) {
-  const ilp::LinearProgram b = lp_sparse_rows();
-  ilp::Basis hand;
-  hand.basic = {2, 3};          // both slacks basic (the crash basis)
-  hand.at_upper = {0, 0, 0, 0};
-  ASSERT_FALSE(hand.stamped());
-  EXPECT_TRUE(hand.compatible_with(b));
-  ilp::SimplexState sb(b);
-  EXPECT_TRUE(sb.load_basis(hand));
-  EXPECT_EQ(sb.solve().status, ilp::SolveStatus::kOptimal);
+  EXPECT_EQ(sa2.load_basis(basis), ilp::BasisRejectReason::kNone);
 }
 
 namespace {
@@ -634,14 +620,15 @@ TEST(Serve, WarmBasisFlowsAcrossDriftedResolves) {
   auto f1 = server.submit(request_for(p, "mote"));
   ASSERT_TRUE(server.run_one());
   const SolveResponse cold = f1.get();
-  EXPECT_FALSE(cold.warm_basis_used);  // nothing to inherit yet
+  EXPECT_FALSE(cold.result->solver.warm_basis_loaded);  // nothing yet
   EXPECT_EQ(cold.cache_outcome, CacheOutcome::kMiss);
 
   auto f2 = server.submit(request_for(drift(p, 1.25), "mote"));
   ASSERT_TRUE(server.run_one());
   const SolveResponse warm = f2.get();
   EXPECT_EQ(warm.cache_outcome, CacheOutcome::kStale);
-  EXPECT_TRUE(warm.warm_basis_used);  // donor accepted: same structure
+  // The donor is accepted: same structure.
+  EXPECT_TRUE(warm.result->solver.warm_basis_loaded);
 
   const auto direct =
       partition::solve_partition(drift(p, 1.25), so.partition);
@@ -653,7 +640,7 @@ TEST(Serve, WarmBasisFlowsAcrossDriftedResolves) {
 TEST(Serve, StructureRejectedDonorMovesEveryRejectViewByOne) {
   // Same explicit graph_hash and platform, same ILP shape, different
   // structure: the second request is a stale re-solve whose donor basis
-  // the pre-flight check refuses as kStructure. The per-server stat,
+  // load_basis turns away as kStructure. The per-server stat,
   // the unlabeled series and the structure series each count it once.
   const std::string name = "wishbone_serve_warm_basis_rejected";
   const obs::Labels structure{{"reason", "structure"}};
