@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -19,9 +20,9 @@ CompileReport Wishbone::compile(
     const std::map<graph::OperatorId, std::vector<graph::Frame>>& traces,
     std::size_t num_events, double events_per_sec) {
   profile::Profiler prof(g_);
-  const profile::ProfileData pd = prof.run(traces, num_events);
+  profile::ProfileData pd = prof.run(traces, num_events);
   g_.reset_state();
-  return run(pd, events_per_sec);
+  return run(std::move(pd), events_per_sec);
 }
 
 CompileReport Wishbone::partition_only(const profile::ProfileData& pd,
@@ -29,18 +30,19 @@ CompileReport Wishbone::partition_only(const profile::ProfileData& pd,
   return run(pd, events_per_sec);
 }
 
-CompileReport Wishbone::run(const profile::ProfileData& pd,
+CompileReport Wishbone::run(profile::ProfileData pd,
                             double events_per_sec) const {
   WB_REQUIRE(events_per_sec > 0, "event rate must be positive");
   CompileReport rep;
-  rep.profile = pd;
+  rep.profile = std::move(pd);
   rep.requested_rate = events_per_sec;
   rep.pins = graph::analyze_pins(g_, opts_.mode);
 
   // make_problem gives operator v vertex v, so the sides solve_partition
   // returns are already indexed by OperatorId.
   auto problem_at = [&](double rate) {
-    return partition::make_problem(g_, rep.pins, pd, platform_, rate);
+    return partition::make_problem(g_, rep.pins, rep.profile, platform_,
+                                   rate);
   };
 
   partition::PartitionResult res;
@@ -95,7 +97,7 @@ CompileReport Wishbone::run(const profile::ProfileData& pd,
 
   // Visualization (§3): heat from the profile, shapes from the cut.
   graph::DotOptions dot;
-  dot.heat = pd.heat(platform_);
+  dot.heat = rep.profile.heat(platform_);
   if (rep.partition.feasible &&
       rep.partition.sides.size() == g_.num_operators()) {
     dot.assignment = rep.partition.sides;
@@ -104,8 +106,8 @@ CompileReport Wishbone::run(const profile::ProfileData& pd,
   labels.reserve(g_.num_edges());
   for (std::size_t ei = 0; ei < g_.num_edges(); ++ei) {
     std::ostringstream l;
-    l << pd.bandwidth(ei, rep.partition_rate > 0 ? rep.partition_rate
-                                                 : events_per_sec)
+    l << rep.profile.bandwidth(
+        ei, rep.partition_rate > 0 ? rep.partition_rate : events_per_sec)
       << " B/s";
     labels.push_back(l.str());
   }

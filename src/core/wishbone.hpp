@@ -80,8 +80,8 @@ class Wishbone {
       const profile::ProfileData& pd, double events_per_sec) const;
 
  private:
-  CompileReport run(const profile::ProfileData& pd,
-                    double events_per_sec) const;
+  /// Partitions on `pd`, which becomes the report's profile.
+  CompileReport run(profile::ProfileData pd, double events_per_sec) const;
 
   graph::Graph& g_;
   profile::PlatformModel platform_;

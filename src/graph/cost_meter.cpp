@@ -6,9 +6,15 @@
 
 namespace wishbone::graph {
 
+void CostMeter::begin_invocation() {
+  WB_REQUIRE(open_.empty(), "begin_invocation inside a loop scope");
+  invocations_ += 1;
+  next_loop_ = 0;
+}
+
 void CostMeter::loop_begin() {
-  loops_.emplace_back();
-  open_.push_back(loops_.size() - 1);
+  if (next_loop_ == loops_.size()) loops_.emplace_back();
+  open_.push_back(next_loop_++);
 }
 
 void CostMeter::loop_iteration(std::uint64_t n) {
@@ -48,7 +54,9 @@ OpCounts counts_max(const OpCounts& a, const OpCounts& b) {
 
 void CostMeter::reset() {
   totals_ = OpCounts{};
+  invocations_ = 0;
   loops_.clear();
+  next_loop_ = 0;
   open_.clear();
 }
 

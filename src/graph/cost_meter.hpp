@@ -54,10 +54,11 @@ struct OpCounts {
 /// Componentwise maximum (used to track peak per-event load, §4).
 [[nodiscard]] OpCounts counts_max(const OpCounts& a, const OpCounts& b);
 
-/// One loop executed inside a work function: iteration count plus the
-/// costs accrued inside it. Enables slicing an operator's execution into
-/// roughly equal pieces (paper §3: "time stamp the beginning and end of
-/// each for or while loop, and count loop iterations").
+/// One loop site of a work function: iterations plus the costs accrued
+/// inside it, summed over every invocation. Enables slicing an
+/// operator's execution into roughly equal pieces (paper §3: "time
+/// stamp the beginning and end of each for or while loop, and count
+/// loop iterations").
 struct LoopRecord {
   std::uint64_t iterations = 0;
   OpCounts body;
@@ -72,6 +73,12 @@ class CostMeter {
   void charge_branch(std::uint64_t n) { totals_.branches += n; open_charge([n](OpCounts& c) { c.branches += n; }); }
   void charge_emit() { totals_.emits += 1; open_charge([](OpCounts& c) { c.emits += 1; }); }
 
+  /// Starts one work-function run and counts it. The k-th loop the run
+  /// enters is charged to the k-th LoopRecord, so loops() holds one
+  /// record per loop site, in first-entry order, summed over runs.
+  /// Without it every loop_begin() opens a new record.
+  void begin_invocation();
+
   /// Marks entry into a loop body; pair with loop_end(). Nested loops
   /// are supported; inner-loop costs are attributed to the innermost
   /// open loop and also included in enclosing totals (totals_ is flat).
@@ -80,6 +87,8 @@ class CostMeter {
   void loop_end();
 
   [[nodiscard]] const OpCounts& totals() const { return totals_; }
+  [[nodiscard]] std::uint64_t invocations() const { return invocations_; }
+  /// One record per loop site (see begin_invocation()).
   [[nodiscard]] const std::vector<LoopRecord>& loops() const { return loops_; }
   /// Moves the loop records out of a meter that is about to die.
   [[nodiscard]] std::vector<LoopRecord> take_loops() && {
@@ -95,22 +104,10 @@ class CostMeter {
   }
 
   OpCounts totals_;
-  std::vector<LoopRecord> loops_;  ///< completed + in-progress loop records
+  std::uint64_t invocations_ = 0;
+  std::vector<LoopRecord> loops_;  ///< one record per loop site
+  std::size_t next_loop_ = 0;      ///< site of this run's next loop_begin()
   std::vector<std::size_t> open_;  ///< stack of indices into loops_
-};
-
-/// RAII helper marking a metered loop scope.
-class MeteredLoop {
- public:
-  explicit MeteredLoop(CostMeter& m) : meter_(m) { meter_.loop_begin(); }
-  ~MeteredLoop() { meter_.loop_end(); }
-  MeteredLoop(const MeteredLoop&) = delete;
-  MeteredLoop& operator=(const MeteredLoop&) = delete;
-
-  void iteration(std::uint64_t n = 1) { meter_.loop_iteration(n); }
-
- private:
-  CostMeter& meter_;
 };
 
 }  // namespace wishbone::graph

@@ -125,22 +125,23 @@ ProfileData Profiler::run(
     for (OperatorId s : sources) {
       const Frame& f = traces.at(s)[i];
       // Nominal acquisition cost: the ADC/driver copies every sample.
+      m.op[s].begin_invocation();
       m.op[s].charge_mem(f.wire_bytes());
       m.op[s].charge_int(f.size());
       m.op[s].charge_emit();
-      m.invocations[s] += 1;
     }
     ex.step(traces, i);
     peaks.end_event(m, pd);
   }
 
   pd.op_counts.reserve(num_ops);
+  pd.op_invocations.reserve(num_ops);
   pd.op_loops.reserve(num_ops);
   for (graph::CostMeter& meter : m.op) {
     pd.op_counts.push_back(meter.totals());
+    pd.op_invocations.push_back(meter.invocations());
     pd.op_loops.push_back(std::move(meter).take_loops());
   }
-  pd.op_invocations = std::move(m.invocations);
   pd.op_elements_out = std::move(m.elements_out);
   pd.op_bytes_out = std::move(m.bytes_out);
   pd.edge_bytes = std::move(m.edge_bytes);

@@ -30,7 +30,9 @@ struct ProfileData {
   std::vector<std::uint64_t> op_invocations;     ///< work-function runs
   std::vector<std::uint64_t> op_elements_out;    ///< elements emitted
   std::vector<double> op_bytes_out;              ///< payload bytes emitted
-  std::vector<std::vector<graph::LoopRecord>> op_loops;  ///< §3 loop slices
+  /// §3 loop profile: one record per loop site, summed over the
+  /// operator's op_invocations runs (graph::CostMeter::loops()).
+  std::vector<std::vector<graph::LoopRecord>> op_loops;
   /// Peak single-event cost, componentwise over the count categories
   /// (§4: "For each of these costs we can use either mean or peak load
   /// (profiling computes both)"). The componentwise max makes the

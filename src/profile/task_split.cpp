@@ -18,37 +18,19 @@ TaskSplitPlan plan_task_split(const std::vector<graph::LoopRecord>& loops,
   TaskSplitPlan plan;
   plan.total_us = plat.micros(totals) / inv;
 
-  // The meter appends one LoopRecord per loop *execution*; across many
-  // profiled invocations of a deterministic work function the records
-  // repeat in a fixed per-invocation pattern. Fold them back into
-  // per-site aggregates so a loop's cost is not diluted across events.
-  std::vector<graph::LoopRecord> sites;
-  if (invocations > 1 && !loops.empty() &&
-      loops.size() % invocations == 0) {
-    const std::size_t per_inv = loops.size() / invocations;
-    sites.resize(per_inv);
-    for (std::size_t r = 0; r < loops.size(); ++r) {
-      graph::LoopRecord& site = sites[r % per_inv];
-      site.iterations += loops[r].iterations;
-      site.body += loops[r].body;
-    }
-  } else {
-    sites = loops;
-  }
-
   // Straight-line time: everything not attributed to a profiled loop.
   // (Nested loops' bodies are included in their own records only, so
   // summing loop bodies never double counts.)
   graph::OpCounts loop_total;
-  for (const graph::LoopRecord& lr : sites) loop_total += lr.body;
+  for (const graph::LoopRecord& lr : loops) loop_total += lr.body;
   plan.straight_line_us =
       std::max(0.0, (plat.micros(totals) - plat.micros(loop_total)) / inv);
 
   // The un-splittable floor: straight-line code runs in one piece.
   plan.max_slice_us = plan.straight_line_us;
 
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const graph::LoopRecord& lr = sites[i];
+  for (std::size_t i = 0; i < loops.size(); ++i) {
+    const graph::LoopRecord& lr = loops[i];
     const double loop_us = plat.micros(lr.body) / inv;
     const double iters = static_cast<double>(lr.iterations) / inv;
     if (loop_us <= target_us || iters < 2.0) {

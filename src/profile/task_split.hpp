@@ -40,10 +40,11 @@ struct TaskSplitPlan {
   std::size_t yield_points = 0;
 };
 
-/// Computes a slicing plan for an operator whose profiled loops are
-/// `loops` (aggregated over `invocations` work-function runs) such that
-/// no slice exceeds `target_us` on platform `plat`. Loops cheaper than
-/// the target are left intact.
+/// Computes a slicing plan for an operator whose profiled loop sites
+/// are `loops` (one record per site, summed over `invocations`
+/// work-function runs, as graph::CostMeter::loops() holds them) such
+/// that no slice exceeds `target_us` on platform `plat`. Loops cheaper
+/// than the target are left intact.
 [[nodiscard]] TaskSplitPlan plan_task_split(
     const std::vector<graph::LoopRecord>& loops,
     const graph::OpCounts& totals, std::uint64_t invocations,

@@ -28,9 +28,9 @@ class PartitionedExecutor::Ctx final : public graph::Context {
 };
 
 ExecMeters::ExecMeters(const Graph& g)
-    : op(g.num_operators()), invocations(g.num_operators(), 0),
-      elements_out(g.num_operators(), 0), bytes_out(g.num_operators(), 0.0),
-      edge_bytes(g.num_edges(), 0.0), edge_elements(g.num_edges(), 0) {}
+    : op(g.num_operators()), elements_out(g.num_operators(), 0),
+      bytes_out(g.num_operators(), 0.0), edge_bytes(g.num_edges(), 0.0),
+      edge_elements(g.num_edges(), 0) {}
 
 PartitionedExecutor::PartitionedExecutor(Graph& g,
                                          std::vector<Side> assignment,
@@ -107,7 +107,7 @@ void PartitionedExecutor::route(OperatorId from, Frame&& f) {
 
 void PartitionedExecutor::deliver(OperatorId op, std::size_t port,
                                   Frame&& f) {
-  if (meters_ != nullptr) meters_->invocations[op] += 1;
+  if (meters_ != nullptr) meters_->op[op].begin_invocation();
   if (graph_.info(op).is_sink) {
     if (sink_out_ != nullptr) (*sink_out_)[op].push_back(f);
     if (graph_.impl(op) != nullptr) {

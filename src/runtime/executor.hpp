@@ -57,8 +57,7 @@ struct ExecMeters {
   explicit ExecMeters(const Graph& g);
 
   // Indexed by OperatorId:
-  std::vector<graph::CostMeter> op;         ///< charged by work functions
-  std::vector<std::uint64_t> invocations;   ///< frames delivered
+  std::vector<graph::CostMeter> op;         ///< one run per delivery
   std::vector<std::uint64_t> elements_out;  ///< frames routed downstream
   std::vector<double> bytes_out;            ///< wire bytes routed
 

@@ -7,9 +7,9 @@
 // overhead cancels out, so the difference isolates per-event
 // allocations. The pool's idle-buffer count must not depend on run
 // length either: a pool that keeps storage it never handed out grows
-// with every cut frame even when nothing allocates. Profiling and the
-// partitioner's warm re-solve and closure-answered solve have
-// allocation budgets of their own (last three tests).
+// with every cut frame even when nothing allocates. Profiling, the
+// partitioner's warm re-solve and closure-answered solve, and a whole
+// compile have allocation budgets of their own (last four tests).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -19,6 +19,7 @@
 
 #include "apps/eeg.hpp"
 #include "apps/speech.hpp"
+#include "core/wishbone.hpp"
 #include "graph/frame.hpp"
 #include "graph/graph.hpp"
 #include "graph/pinning.hpp"
@@ -272,10 +273,12 @@ TEST(AllocFree, ClosureAnsweredEeg22SolveStaysWithinAllocationBudget) {
 /// on a second run so the process-wide dsp plan caches are already warm
 /// whatever ran before: what remains is the per-run set-up (executor,
 /// meters, ProfileData), the pool's warm-up and the meters' loop
-/// records, which move into ProfileData. Budget: the 2,265 allocations
-/// measured once the loop records moved instead of being copied, plus
-/// ~11% headroom; copying them made 2,705, and the profiler's own
-/// traversal, which allocated every emitted frame, made 11,569.
+/// records, one per loop site, which move into ProfileData. Budget: the
+/// 945 allocations measured once the meters kept one record per loop
+/// site instead of one per loop execution, plus ~11% headroom; per-
+/// execution records made 2,265, copying them into the profile 2,705,
+/// and the profiler's own traversal, which allocated every emitted
+/// frame, 11,569.
 TEST(AllocFree, ProfilingEeg22StaysWithinAllocationBudget) {
   apps::EegApp app = apps::build_eeg_app();  // 22 channels
   const auto traces = apps::eeg_traces(app, 8);
@@ -287,7 +290,31 @@ TEST(AllocFree, ProfilingEeg22StaysWithinAllocationBudget) {
   const profile::ProfileData pd = prof.run(traces, 8);
   const std::uint64_t allocs = util::allocation_count() - before;
   ASSERT_EQ(pd.num_events, 8u);
-  EXPECT_LE(allocs, 2510u) << allocs << " allocations";
+  EXPECT_LE(allocs, 1050u) << allocs << " allocations";
+}
+
+/// A whole Wishbone::compile of EEG-22 on Gumstix at its full rate (a
+/// compile_native request): profile, pin analysis, the closure-answered
+/// solve and the dot text. Counted on a second compile so the dsp plan
+/// caches are warm. Budget: the 3,507 allocations measured once
+/// compile moved its profile into the report instead of copying it,
+/// plus ~11% headroom; the copy and per-execution loop records made
+/// 5,277.
+TEST(AllocFree, CompileEeg22StaysWithinAllocationBudget) {
+  apps::EegApp app = apps::build_eeg_app();  // 22 channels
+  const auto traces = apps::eeg_traces(app, 8);
+  core::CompileOptions opts;
+  opts.partition.mip.threads = 1;
+  core::Wishbone wb(app.g, profile::platform_by_name("Gumstix"), opts);
+  const double rate = app.full_rate_events_per_sec();
+  (void)wb.compile(traces, 8, rate);
+
+  const std::uint64_t before = util::allocation_count();
+  const core::CompileReport rep = wb.compile(traces, 8, rate);
+  const std::uint64_t allocs = util::allocation_count() - before;
+  ASSERT_TRUE(rep.feasible_at_requested_rate);
+  EXPECT_EQ(rep.partition.node_partition_size, 1210u);
+  EXPECT_LE(allocs, 3900u) << allocs << " allocations";
 }
 
 }  // namespace

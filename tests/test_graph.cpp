@@ -224,6 +224,7 @@ TEST(CostMeter, LoopAttribution) {
 
 TEST(CostMeter, NestedLoops) {
   graph::CostMeter m;
+  m.begin_invocation();
   m.loop_begin();
   m.charge_int(1);
   m.loop_begin();
@@ -235,12 +236,36 @@ TEST(CostMeter, NestedLoops) {
   EXPECT_EQ(m.loops()[0].body.int_ops, 1u);
   EXPECT_EQ(m.loops()[1].body.int_ops, 2u);
   EXPECT_EQ(m.totals().int_ops, 3u);
+
+  // A second run of the same code charges the same two sites.
+  m.begin_invocation();
+  m.loop_begin();
+  m.loop_iteration(3);
+  m.charge_int(10);
+  m.loop_begin();
+  m.loop_iteration(5);
+  m.charge_int(20);
+  m.loop_end();
+  m.loop_end();
+  ASSERT_EQ(m.loops().size(), 2u);
+  EXPECT_EQ(m.loops()[0].iterations, 3u);
+  EXPECT_EQ(m.loops()[0].body.int_ops, 11u);
+  EXPECT_EQ(m.loops()[1].iterations, 5u);
+  EXPECT_EQ(m.loops()[1].body.int_ops, 22u);
+  EXPECT_EQ(m.totals().int_ops, 33u);
+  EXPECT_EQ(m.invocations(), 2u);
+
+  m.reset();
+  EXPECT_EQ(m.invocations(), 0u);
+  EXPECT_TRUE(m.loops().empty());
 }
 
 TEST(CostMeter, LoopMisuseThrows) {
   graph::CostMeter m;
   EXPECT_THROW(m.loop_end(), ContractError);
   EXPECT_THROW(m.loop_iteration(), ContractError);
+  m.loop_begin();
+  EXPECT_THROW(m.begin_invocation(), ContractError);
 }
 
 TEST(Dot, RendersNodesEdgesAndOptions) {

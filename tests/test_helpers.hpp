@@ -143,6 +143,22 @@ inline TinyApp tiny_app() {
   return t;
 }
 
+/// source "src" -> "op" -> sink, with `fn` (void(const Frame&,
+/// Context&)) as op's work function: a graph for metering one
+/// hand-built operator.
+template <class Fn>
+graph::Graph one_op_app(Fn fn) {
+  graph::GraphBuilder b;
+  graph::Stream op;
+  {
+    auto node = b.node_scope();
+    op = b.stateless("op", b.source("src", nullptr),
+                     graph::make_stateless(std::move(fn)));
+  }
+  b.sink("out", op);
+  return b.build();
+}
+
 inline std::vector<graph::Frame> int_frames(std::size_t n,
                                             std::size_t samples = 8) {
   std::vector<graph::Frame> out;

@@ -74,6 +74,31 @@ TEST(Profiler, CountsEventsAndEdgeBytes) {
   EXPECT_EQ(pd.op_invocations[t.half], 10u);
 }
 
+/// The meter keeps one record per loop site: a loop run on every
+/// invocation is one record whose counts sum over the invocations.
+TEST(Profiler, LoopRunOnEveryInvocationIsOneSite) {
+  graph::Graph g =
+      wbtest::one_op_app([](const graph::Frame& f, graph::Context& c) {
+        if (graph::CostMeter* m = c.cost_meter()) {
+          m->loop_begin();
+          m->loop_iteration(f.size());
+          m->charge_int(2 * f.size());
+          m->loop_end();
+        }
+      });
+  profile::Profiler prof(g);
+  std::map<graph::OperatorId, std::vector<graph::Frame>> traces;
+  traces[g.find("src")] = wbtest::int_frames(10, 8);
+  const auto pd = prof.run(traces, 10);
+
+  const graph::OperatorId op = g.find("op");
+  EXPECT_EQ(pd.op_invocations[op], 10u);
+  ASSERT_EQ(pd.op_loops[op].size(), 1u);
+  EXPECT_EQ(pd.op_loops[op][0].iterations, 80u);
+  EXPECT_EQ(pd.op_loops[op][0].body.int_ops, 160u);
+  EXPECT_EQ(pd.op_invocations[g.find("src")], 10u);
+}
+
 TEST(Profiler, CpuFractionScalesWithRate) {
   wbtest::TinyApp t = wbtest::tiny_app();
   profile::Profiler prof(t.g);

@@ -3,6 +3,7 @@
 #include "apps/speech.hpp"
 #include "profile/profiler.hpp"
 #include "profile/task_split.hpp"
+#include "test_helpers.hpp"
 #include "util/assert.hpp"
 
 using namespace wishbone;
@@ -78,6 +79,41 @@ TEST(TaskSplit, ContractChecks) {
                ContractError);
   EXPECT_THROW((void)plan_task_split({}, totals, 1, plat, 0.0),
                ContractError);
+}
+
+/// Loop sites that only some invocations enter stay apart: op runs
+/// loops A (100 iterations) and B (40) on the first frame (its first
+/// sample is 0) and no loop on the second, so two sites over two
+/// invocations, each expensive enough to split.
+TEST(TaskSplit, SitesEnteredOnOneInvocationStayApart) {
+  graph::Graph g =
+      wbtest::one_op_app([](const graph::Frame& f, graph::Context& c) {
+        graph::CostMeter* m = c.cost_meter();
+        if (m == nullptr || f.samples()[0] != 0.0f) return;
+        for (std::uint64_t iters : {100u, 40u}) {
+          m->loop_begin();
+          m->loop_iteration(iters);
+          m->charge_float(100 * iters);
+          m->loop_end();
+        }
+      });
+  Profiler prof(g);
+  std::map<graph::OperatorId, std::vector<graph::Frame>> traces;
+  traces[g.find("src")] = wbtest::int_frames(2);
+  const auto pd = prof.run(traces, 2);
+
+  const graph::OperatorId op = g.find("op");
+  ASSERT_EQ(pd.op_invocations[op], 2u);
+  ASSERT_EQ(pd.op_loops[op].size(), 2u);
+  EXPECT_EQ(pd.op_loops[op][0].iterations, 100u);
+  EXPECT_EQ(pd.op_loops[op][1].iterations, 40u);
+  const auto plan = plan_task_split(pd.op_loops[op], pd.op_counts[op],
+                                    pd.op_invocations[op], tmote_sky(),
+                                    10'000.0);
+  ASSERT_EQ(plan.splits.size(), 2u);
+  EXPECT_EQ(plan.splits[0].loop_index, 0u);
+  EXPECT_EQ(plan.splits[1].loop_index, 1u);
+  EXPECT_LE(plan.max_slice_us, 10'000.0 + 1e-6);
 }
 
 TEST(TaskSplit, SplitsRealFftOperatorOnMote) {
