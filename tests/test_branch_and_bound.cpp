@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <string>
 
 #include "ilp/branch_and_bound.hpp"
+#include "lp_generators.hpp"
 
 using namespace wishbone::ilp;
 
@@ -172,4 +174,86 @@ TEST(BranchAndBound, MixedIntegerContinuous) {
   EXPECT_NEAR(res.x[0], 1.0, 1e-6);
   EXPECT_NEAR(res.x[1], 1.0, 1e-6);
   EXPECT_NEAR(res.objective, -5.0, 1e-6);
+}
+
+namespace {
+
+/// One pinned serial walk: the instance (generator, seed, node budget)
+/// and what the search reports at the end of it.
+struct PinnedWalk {
+  enum Family { kPartition, kMarket, kSmallMarket } family;
+  std::uint32_t seed;
+  std::size_t max_nodes;
+  SolveStatus status;
+  std::size_t nodes;
+  std::size_t lp_iterations;
+  std::size_t fixed;
+  std::size_t incumbents;
+  double objective;
+};
+
+LinearProgram pinned_instance(const PinnedWalk& w) {
+  switch (w.family) {
+    case PinnedWalk::kPartition:
+      return testgen::gen_partition_shaped(w.seed, /*integral=*/true);
+    case PinnedWalk::kMarket:
+      return testgen::gen_market_split(w.seed);
+    case PinnedWalk::kSmallMarket:
+      return testgen::gen_market_split(w.seed, /*n=*/12);
+  }
+  return {};
+}
+
+}  // namespace
+
+TEST(BranchAndBound, SerialWalkIsPinned) {
+  // The exact walk of the best-first search: heap order, pruning before
+  // the LP, the node budget counted at the LP solve, reduced-cost
+  // fixing and the incumbent timeline all move at least one of these
+  // counters when they change. Node and iteration counts are the
+  // search's own (no clock), so they are identical on every host. A
+  // change that moves a row changes the walk and must say why.
+  constexpr std::size_t kAll = 1'000'000;
+  constexpr SolveStatus kOpt = SolveStatus::kOptimal;
+  constexpr SolveStatus kInf = SolveStatus::kInfeasible;
+  constexpr SolveStatus kCap = SolveStatus::kIterationLimit;
+  const PinnedWalk walks[] = {
+      {PinnedWalk::kPartition, 9100, kAll, kOpt, 5, 25, 6, 1, -19.59375},
+      {PinnedWalk::kPartition, 9101, kAll, kOpt, 1, 4, 0, 1, -7.046875},
+      {PinnedWalk::kPartition, 9102, kAll, kOpt, 1, 4, 0, 1, -2.78125},
+      {PinnedWalk::kPartition, 9103, kAll, kOpt, 5, 37, 0, 1, -10.953125},
+      {PinnedWalk::kPartition, 9104, kAll, kOpt, 5, 17, 5, 1, -9.171875},
+      {PinnedWalk::kPartition, 9105, kAll, kOpt, 33, 187, 14, 3, -12.96875},
+      {PinnedWalk::kPartition, 9106, kAll, kOpt, 3, 20, 0, 1, -11.734375},
+      {PinnedWalk::kPartition, 9107, kAll, kOpt, 1, 10, 0, 1, -10.953125},
+      {PinnedWalk::kPartition, 9108, kAll, kOpt, 3, 9, 0, 1, -5.40625},
+      {PinnedWalk::kPartition, 9109, kAll, kOpt, 3, 11, 0, 1, -10.53125},
+      {PinnedWalk::kMarket, 9200, kAll, kOpt, 269, 717, 359, 1, -4.0625},
+      {PinnedWalk::kMarket, 9201, kAll, kOpt, 5, 19, 17, 1, -2.515625},
+      {PinnedWalk::kMarket, 9202, kAll, kOpt, 169, 570, 222, 2, -3.484375},
+      {PinnedWalk::kMarket, 9203, kAll, kOpt, 261, 859, 231, 2, -1.59375},
+      {PinnedWalk::kMarket, 9204, kAll, kOpt, 1023, 2971, 1070, 2, -1.78125},
+      // An infeasible tree: exhausted, so proved infeasible.
+      {PinnedWalk::kSmallMarket, 9312, kAll, kInf, 395, 1041, 0, 0, 0.0},
+      // Node-capped walks: censored at exactly the budget, with and
+      // without an incumbent; 9201 proves before the cap.
+      {PinnedWalk::kMarket, 9200, 60, kCap, 60, 234, 16, 1, -4.0625},
+      {PinnedWalk::kMarket, 9201, 60, kOpt, 5, 19, 17, 1, -2.515625},
+      {PinnedWalk::kMarket, 9202, 60, kCap, 60, 246, 0, 0, 0.0},
+  };
+  for (const PinnedWalk& w : walks) {
+    const std::string label = "family=" + std::to_string(w.family) +
+                              " seed=" + std::to_string(w.seed) +
+                              " max_nodes=" + std::to_string(w.max_nodes);
+    MipOptions opts;
+    opts.lp.refactor_interval = 16;
+    opts.max_nodes = w.max_nodes;
+    const MipResult r = BranchAndBound().solve(pinned_instance(w), opts);
+    EXPECT_EQ(r.status, w.status) << label;
+    EXPECT_EQ(r.nodes_explored, w.nodes) << label;
+    EXPECT_EQ(r.lp_iterations, w.lp_iterations) << label;
+    EXPECT_EQ(r.total.vars_fixed_by_reduced_cost, w.fixed) << label;
+    EXPECT_EQ(r.incumbents.size(), w.incumbents) << label;
+    EXPECT_NEAR(r.objective, w.objective, 1e-9) << label;
+  }
 }
