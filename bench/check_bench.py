@@ -82,11 +82,6 @@ GATES = {
         ("max_nodes_per_solve", "report", None),
         ("fallback_share", "report", None),
         ("lp_iterations_per_point", proved_points, 1.10)],
-    # 8 workers against the serial run: node counts move with the
-    # interleaving, so the iteration budget is loose; answers may not.
-    "fig6_threads": FIG6_PROTOCOL + [
-        ("fallback_share", "report", None),
-        ("lp_iterations_per_point", proved_points, 1.75)],
     "stream": [
         ("eeg_allocs_per_event", "eq", 0),
         ("speech_allocs_per_event", "eq", 0),

@@ -11,14 +11,7 @@
 // The sweep size is configurable (argv[1], default 120) so the bench
 // finishes in minutes rather than hours.
 //
-// Usage: bench_fig6_solver_cdf [--threads=K]
-//                              [runs] [per_solve_limit_s] [max_nodes]
-//   --threads  branch-and-bound workers per solve (default 1; 0 =
-//              hardware concurrency). The determinism contract holds
-//              at any K — identical objectives and proof outcomes —
-//              so the sweep's per-point objective record doubles as a
-//              cross-thread-count consistency check. Per-point steal /
-//              snapshot-reload / idle telemetry lands in the JSON.
+// Usage: bench_fig6_solver_cdf [runs] [per_solve_limit_s] [max_nodes]
 //   max_nodes  per-solve B&B node budget, 0 = unlimited (default). A
 //              finite budget makes solver A/B comparisons well-defined
 //              on the censored middle of the sweep: both solvers then
@@ -38,19 +31,16 @@
 
 int main(int argc, char** argv) {
   using namespace wishbone;
-  // Split the flags off the positional arguments.
-  std::size_t threads = 1;
+  // The bench takes no flags, only positional arguments.
   std::vector<const char*> pos;
   for (int a = 1; a < argc; ++a) {
-    if (std::strncmp(argv[a], "--threads=", 10) == 0) {
-      threads = static_cast<std::size_t>(std::atoll(argv[a] + 10));
-    } else if (std::strncmp(argv[a], "--", 2) == 0) {
-      std::fprintf(stderr, "unknown flag '%s' (expected --threads=)\n",
+    if (std::strncmp(argv[a], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown flag '%s' (expected runs, "
+                           "per_solve_limit_s, max_nodes)\n",
                    argv[a]);
       return 1;
-    } else {
-      pos.push_back(argv[a]);
     }
+    pos.push_back(argv[a]);
   }
   const std::size_t runs =
       pos.size() > 0 ? static_cast<std::size_t>(std::atoi(pos[0])) : 16;
@@ -86,12 +76,11 @@ int main(int argc, char** argv) {
   const auto plat = profile::tmote_sky();
 
   std::vector<double> discover, prove, objectives, proved, point_nodes,
-      point_iters, point_wall, point_refacs, point_etas, point_steals,
-      point_reloads, point_idle, point_dual_reentries, point_fallbacks;
+      point_iters, point_wall, point_refacs, point_etas,
+      point_dual_reentries, point_fallbacks;
   std::size_t feasible = 0;
   std::size_t censored = 0;
-  ilp::WorkerTelemetry total;  // summed over the sweep
-  std::size_t threads_used = threads;
+  ilp::SearchTelemetry total;  // summed over the sweep
   double total_wall_s = 0.0;
   for (std::size_t i = 0; i < runs; ++i) {
     // Linear rate sweep over everything-fits ... nothing-fits. Like the
@@ -108,21 +97,16 @@ int main(int argc, char** argv) {
     prob.rom_budget = partition::kNoResourceBudget;
     partition::PartitionOptions opts;
     opts.mip.time_limit_s = per_solve_limit_s;
-    opts.mip.threads = threads;
     if (max_nodes > 0) opts.mip.max_nodes = max_nodes;
     const auto r = partition::solve_partition(prob, opts);
-    const ilp::WorkerTelemetry& t = r.solver.total;
+    const ilp::SearchTelemetry& t = r.solver.total;
     total += t;
     point_wall.push_back(r.solver.time_total);
     point_refacs.push_back(static_cast<double>(t.basis_refactorizations));
     point_etas.push_back(static_cast<double>(t.eta_updates));
-    point_steals.push_back(static_cast<double>(t.steals));
-    point_reloads.push_back(static_cast<double>(t.snapshot_reloads));
-    point_idle.push_back(t.idle_s);
     point_dual_reentries.push_back(
         static_cast<double>(t.simplex.dual_reentries));
     point_fallbacks.push_back(static_cast<double>(t.simplex.phase1_fallbacks));
-    threads_used = r.solver.threads_used;  // threads=0 resolved
     total_wall_s += r.solver.time_total;
     // "Proved" = the instance was fully resolved: optimality shown or
     // infeasibility established. 0 marks a time/node-limit censoring.
@@ -174,9 +158,8 @@ int main(int argc, char** argv) {
   std::printf("censored instances prove slower than %.0f s each — the "
               "paper's own proof tail ran to ~12 minutes\n",
               per_solve_limit_s);
-  std::printf("\nsolver totals (%zu thread%s): %zu B&B nodes, %zu LP "
-              "iterations, %zu reduced-cost fixings, %.2f s wall\n",
-              threads_used, threads_used == 1 ? "" : "s",
+  std::printf("\nsolver totals: %zu B&B nodes, %zu LP iterations, %zu "
+              "reduced-cost fixings, %.2f s wall\n",
               total.nodes_explored, total.lp_iterations,
               total.vars_fixed_by_reduced_cost, total_wall_s);
   std::printf("basis engine: %zu refactorizations, %zu eta updates, "
@@ -188,17 +171,11 @@ int main(int argc, char** argv) {
               total.simplex.dual_reentries, total.simplex.phase1_reentries,
               total.simplex.phase1_fallbacks, total.simplex.primal_pivots,
               total.simplex.dual_pivots);
-  if (threads_used > 1) {
-    std::printf("parallel search: %zu steals, %zu snapshot reloads, "
-                "%.2f s summed worker idle\n",
-                total.steals, total.snapshot_reloads, total.idle_s);
-  }
 
   // Machine-readable record so the solver's perf trajectory is tracked
   // across PRs (nodes / LP iterations / discover / prove / objectives).
   bench::Json j;
   j.set("bench", std::string("fig6_solver_cdf"));
-  j.set("threads", threads_used);
   j.set("runs", runs);
   j.set("per_solve_limit_s", per_solve_limit_s);
   j.set("max_nodes_per_solve", max_nodes);
@@ -215,9 +192,6 @@ int main(int argc, char** argv) {
   j.set("total_phase1_fallbacks", total.simplex.phase1_fallbacks);
   j.set("total_primal_pivots", total.simplex.primal_pivots);
   j.set("total_dual_pivots", total.simplex.dual_pivots);
-  j.set("total_steals", total.steals);
-  j.set("total_snapshot_reloads", total.snapshot_reloads);
-  j.set("total_idle_s", total.idle_s);
   j.set("total_wall_s", total_wall_s);
   j.set("discover_p50_s",
         discover.empty() ? -1.0 : util::percentile(discover, 50.0));
@@ -234,9 +208,6 @@ int main(int argc, char** argv) {
   j.set_array("wall_s_per_point", point_wall);
   j.set_array("refactorizations_per_point", point_refacs);
   j.set_array("eta_updates_per_point", point_etas);
-  j.set_array("steals_per_point", point_steals);
-  j.set_array("snapshot_reloads_per_point", point_reloads);
-  j.set_array("idle_s_per_point", point_idle);
   j.set_array("dual_reentries_per_point", point_dual_reentries);
   j.set_array("phase1_fallbacks_per_point", point_fallbacks);
   j.write("BENCH_fig6.json");

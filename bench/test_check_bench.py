@@ -23,7 +23,6 @@ RESULTS = Path(__file__).resolve().parent / "results"
 REFERENCE = {
     "fig6": "BENCH_fig6_pr16.json",
     "fig6_cross_era": "BENCH_fig6_pr1_default.json",
-    "fig6_threads": "BENCH_fig6_pr16.json",
     "stream": "BENCH_stream_pr6_avx2.json",
     "serve": "BENCH_serve_pr7.json",
     "faults": "BENCH_faults_pr8.json",
@@ -59,7 +58,7 @@ def shift(key, delta):
     return edit
 
 
-FIG6 = ("fig6", "fig6_cross_era", "fig6_threads")
+FIG6 = ("fig6", "fig6_cross_era")
 
 # (gates, what, edit of a copy of the reference): each must fail.
 MUTATIONS = [
@@ -68,10 +67,8 @@ MUTATIONS = [
     (FIG6, "proved point 9 flips to infeasible", set_objective(9, -1)),
     (FIG6, "sweep size", setting(runs=8)),
     (("fig6", "fig6_cross_era"), "iterations +11%", scale_iterations(1.11)),
-    (("fig6_threads",), "iterations +76%", scale_iterations(1.76)),
-    (("fig6", "fig6_threads"), "node budget",
-     setting(max_nodes_per_solve=800)),
-    (("fig6", "fig6_threads"), "time cap", setting(per_solve_limit_s=20)),
+    (("fig6",), "node budget", setting(max_nodes_per_solve=800)),
+    (("fig6",), "time cap", setting(per_solve_limit_s=20)),
     (("fig6",), "phase-1 fallback share 6%",
      setting(total_dual_reentries=94, total_phase1_fallbacks=6)),
     (("stream",), "eeg allocs 1", setting(eeg_allocs_per_event=1)),
@@ -105,7 +102,7 @@ MUTATIONS = [
 REPORT_ONLY = [
     (("fig6_cross_era",), "protocol differs",
      setting(max_nodes_per_solve=400)),
-    (("fig6_cross_era", "fig6_threads"), "phase-1 fallback share 50%",
+    (("fig6_cross_era",), "phase-1 fallback share 50%",
      setting(total_dual_reentries=5, total_phase1_fallbacks=5)),
     (("stream",), "samples/sec 0.1x",
      scaling("eeg_simd_samples_per_sec", 0.1)),

@@ -8,21 +8,18 @@
 // *discovered* (first incumbent equal to the final optimum) and the
 // time needed to *prove* optimality (search exhausted / gap closed).
 //
-// Incremental state: every worker owns one SimplexState shared by all
-// node LPs it solves. A node stores only the chain of bound deltas back
-// to the root (shared ancestry, so a node costs O(1) extra memory
-// instead of two n-vectors), the worker replays the delta chain onto
-// its state, and each LP re-solve warm-starts from the basis the
-// previous node left behind — sibling LPs differ by a single bound, so
-// dual-simplex repair is a few pivots. Reduced-cost fixing pins 0/1
-// indicators whose reduced cost already closes the incumbent gap,
-// shrinking the tree.
+// Incremental state: one SimplexState is shared by every node LP. A
+// node stores only the chain of bound deltas back to the root (shared
+// ancestry, so a node costs O(1) extra memory instead of two
+// n-vectors), the search replays the delta chain onto the state, and
+// each LP re-solve warm-starts from the basis the previous node left
+// behind — sibling LPs differ by a single bound, so dual-simplex repair
+// is a few pivots. Reduced-cost fixing pins 0/1 indicators whose
+// reduced cost already closes the incumbent gap, shrinking the tree.
 //
-// The search itself runs on the engine in ilp/parallel_bnb.cpp:
-// a sharded node pool with work stealing, an atomic incumbent, and
-// basis-snapshot handoff for stolen nodes. MipOptions::threads picks
-// the worker count; the serial solve is the N = 1 specialization of
-// the same pool machinery (inline on the calling thread, no spawn).
+// The search is one serial best-first loop on the calling thread
+// (ilp/branch_and_bound.cpp); callers that want parallelism run
+// independent solves side by side, as the partition server's workers do.
 #pragma once
 
 #include <algorithm>
@@ -57,20 +54,13 @@ struct MipOptions {
   /// solution moves them off their bound (requires an incumbent).
   bool reduced_cost_fixing = true;
   /// Optional basis inherited from a structurally identical solve (e.g.
-  /// the previous rate-search probe); every worker loads it into its
-  /// SimplexState before its first node LP. A basis load_basis rejects
-  /// means a cold start.
+  /// the previous rate-search probe), loaded into the SimplexState
+  /// before the root LP. A basis load_basis rejects means a cold start.
   std::optional<Basis> warm_basis;
-  /// Number of branch-and-bound workers. 1 (default) runs the search
-  /// inline on the calling thread — bit-reproducible run-to-run. N > 1
-  /// spawns N workers, each with a private SimplexState over a sharded
-  /// node pool with work stealing; 0 resolves to the hardware thread
-  /// count. The determinism contract at any thread count: identical
-  /// objectives and proof outcomes whenever neither run hits max_nodes
-  /// or time_limit_s (node/iteration *counts* differ with the
-  /// interleaving, so a capped search may be proved at one thread count
-  /// and censored at another). When threads > 1 the rounding_hook must be
-  /// reentrant — it is invoked concurrently from several workers.
+  /// Leftover of the retired parallel search: the search is serial and
+  /// BranchAndBound::solve rejects any value but 1. The field stays only
+  /// because the e2e benchmark (bench/e2e/workloads.cpp) still assigns
+  /// `threads = 1` four times; delete it together with those lines.
   std::size_t threads = 1;
   /// Request-scoped trace context (obs/trace.hpp). Unsampled (the
   /// default) costs nothing; sampled contexts make the search record
@@ -85,38 +75,28 @@ struct IncumbentRecord {
   std::size_t node = 0;   ///< B&B node that produced it (from 1; 0 = none)
 };
 
-/// Per-worker counters of a (possibly parallel) branch-and-bound run.
-/// Serial solves report exactly one entry with steals == 0.
-struct WorkerTelemetry {
+/// Counters of one branch-and-bound run; callers that sweep many solves
+/// (the Fig. 6 bench) sum them with +=.
+struct SearchTelemetry {
   std::size_t nodes_explored = 0;
   std::size_t lp_iterations = 0;
-  /// Nodes this worker popped from another worker's pool shard.
-  std::size_t steals = 0;
-  /// Steals that reloaded the node's basis snapshot into the worker's
-  /// SimplexState instead of phase-1-repairing from a stale basis.
-  std::size_t snapshot_reloads = 0;
-  /// Wall-clock seconds spent waiting for work (empty pools).
-  double idle_s = 0.0;
   std::size_t vars_fixed_by_reduced_cost = 0;
-  /// Basis-engine telemetry of the worker's SimplexState: how often
+  /// Basis-engine telemetry of the search's SimplexState: how often
   /// the basis was refactorized, how many pivots the eta file
   /// absorbed, and its peak length.
   std::size_t basis_refactorizations = 0;
   std::size_t eta_updates = 0;
   std::size_t eta_len_peak = 0;
-  /// Re-entry telemetry of the worker's SimplexState: how node
+  /// Re-entry telemetry of the search's SimplexState: how node
   /// re-solves restored feasibility (dual simplex vs composite phase
   /// 1), how often a warm re-entry fell back to phase 1, and the primal
   /// / dual pivot counts.
   SimplexTelemetry simplex;
 
   /// Sums every counter; eta_len_peak takes the maximum.
-  WorkerTelemetry& operator+=(const WorkerTelemetry& o) {
+  SearchTelemetry& operator+=(const SearchTelemetry& o) {
     nodes_explored += o.nodes_explored;
     lp_iterations += o.lp_iterations;
-    steals += o.steals;
-    snapshot_reloads += o.snapshot_reloads;
-    idle_s += o.idle_s;
     vars_fixed_by_reduced_cost += o.vars_fixed_by_reduced_cost;
     basis_refactorizations += o.basis_refactorizations;
     eta_updates += o.eta_updates;
@@ -132,8 +112,7 @@ struct MipResult {
   std::vector<double> x;           ///< incumbent assignment
   bool has_incumbent = false;
   double best_bound = -kInf;       ///< proven lower bound at termination
-  /// The headline counters. nodes_explored is the search's node-budget
-  /// count; both equal their sums in `total`.
+  /// The headline counters; both repeat their fields in `total`.
   std::size_t nodes_explored = 0;
   std::size_t lp_iterations = 0;
 
@@ -143,10 +122,10 @@ struct MipResult {
   double time_total = 0.0;                ///< includes the proof phase
   std::vector<IncumbentRecord> incumbents;
 
-  /// Basis of the shared simplex state at termination; thread it into
+  /// Basis of the search's simplex state at termination; thread it into
   /// MipOptions::warm_basis of the next structurally identical solve.
   Basis final_basis;
-  /// The verdict of worker 0's load_basis on MipOptions::warm_basis,
+  /// The verdict of load_basis on MipOptions::warm_basis,
   /// read three ways. warm_basis_loaded: the basis loaded (false = the
   /// solve fell back to a cold basis, or none was supplied).
   /// warm_basis_rejected: the basis came from a model of another shape
@@ -159,13 +138,8 @@ struct MipResult {
   bool warm_basis_rejected = false;
   BasisRejectReason warm_basis_reject_reason = BasisRejectReason::kNone;
 
-  /// Parallel-search telemetry: the worker count the solve actually ran
-  /// with (MipOptions::threads == 0 resolved), one entry per worker,
-  /// and their sum. Serial solves: threads_used == 1,
-  /// total.steals == total.snapshot_reloads == 0.
-  std::size_t threads_used = 1;
-  std::vector<WorkerTelemetry> workers;
-  WorkerTelemetry total;
+  /// Every counter of the search.
+  SearchTelemetry total;
 
   /// Absolute optimality gap at termination (0 when proved optimal).
   [[nodiscard]] double gap() const {
@@ -175,11 +149,9 @@ struct MipResult {
 
 class BranchAndBound {
  public:
-  /// Solves the MIP. The model is left untouched: node bounds live in
-  /// the workers' own SimplexStates, never written back into `lp`.
-  /// Runs the search with opts.threads workers (0 = hardware
-  /// concurrency); opts.threads == 1 runs the identical machinery
-  /// inline. Defined in ilp/parallel_bnb.cpp.
+  /// Solves the MIP on the calling thread. The model is left untouched:
+  /// node bounds live in the search's own SimplexState, never written
+  /// back into `lp`. Throws util::ContractError unless opts.threads == 1.
   [[nodiscard]] MipResult solve(const LinearProgram& lp,
                                 const MipOptions& opts = {}) const;
 };

@@ -26,11 +26,10 @@ struct PartitionOptions {
   bool preprocess = true;                   ///< §4.1 merge pass
   Formulation formulation = Formulation::kRestricted;
   bool warm_start = true;                   ///< LP-threshold rounding
-  /// Solver configuration, forwarded to branch and bound unchanged.
-  /// `mip.threads` picks the parallel worker count for every solve
-  /// (the threshold-rounding hook the partitioner installs is pure, so
-  /// it is safe at any thread count); `mip.warm_basis` threads a basis
-  /// in from a previous structurally identical solve.
+  /// Solver configuration, forwarded to branch and bound unchanged
+  /// apart from the threshold-rounding hook the partitioner installs;
+  /// `mip.warm_basis` threads a basis in from a previous structurally
+  /// identical solve.
   ilp::MipOptions mip;
 };
 

@@ -20,10 +20,9 @@
 //
 // Concurrency model: submit() is safe from any thread. A bounded FIFO
 // of distinct keys feeds `workers` solver threads; each solve runs the
-// PR 3 parallel branch and bound with whatever MipOptions::threads the
-// caller configured, so total solver parallelism is workers x threads.
-// workers == 0 runs no threads — tests drain the queue deterministically
-// with run_one().
+// serial branch and bound on its worker, so solver parallelism is the
+// worker count. workers == 0 runs no threads — tests drain the queue
+// deterministically with run_one().
 #pragma once
 
 #include <condition_variable>
@@ -49,8 +48,7 @@ struct ServeOptions {
   /// Relative profile quantization (graph_hash.hpp): profiles within
   /// ~5% land in the same cache cell.
   double profile_resolution = 0.05;
-  /// Forwarded to every solve_partition call; mip.threads picks the
-  /// per-solve branch-and-bound worker count.
+  /// Forwarded to every solve_partition call.
   partition::PartitionOptions partition;
 };
 

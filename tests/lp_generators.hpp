@@ -1,7 +1,7 @@
 // Seeded LP / MIP instance generators shared by the solver test
 // harnesses: the dense-vs-LU differential suite
-// (test_lp_differential.cpp) and the serial-vs-parallel differential
-// suite (test_parallel_bnb.cpp).
+// (test_lp_differential.cpp) and the branch-and-bound tests
+// (test_branch_and_bound.cpp).
 //
 // Coefficients are drawn from a dyadic grid (multiples of 1/64) so
 // feasibility/optimality margins are either exactly zero or far above
@@ -215,10 +215,9 @@ inline LinearProgram gen_partition_shaped(std::uint32_t seed, bool integral,
 /// Market-split-shaped MIP: 0/1 variables split between two equality
 /// knapsack rows at half their total weight. The LP bound is weak and
 /// the feasible set combinatorially symmetric, so branch and bound
-/// must genuinely dig (hundreds to thousands of nodes at n ≈ 20) —
-/// the family that keeps every worker of a parallel solve busy, where
-/// the partition-shaped instances above prove out in a handful of
-/// nodes.
+/// must genuinely dig (hundreds to thousands of nodes at n ≈ 20),
+/// where the partition-shaped instances above prove out in a handful
+/// of nodes.
 inline LinearProgram gen_market_split(std::uint32_t seed, int n = 20,
                                       int rows = 2) {
   std::mt19937 rng(seed);

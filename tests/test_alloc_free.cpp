@@ -231,7 +231,6 @@ TEST(AllocFree, WarmEegResolveStaysWithinAllocationBudget) {
 
   partition::PartitionOptions opts;
   opts.mip.max_nodes = 400;
-  opts.mip.threads = 1;
   const partition::PartitionResult donor =
       partition::solve_partition(base, opts);
   ASSERT_TRUE(donor.feasible);
@@ -257,7 +256,6 @@ TEST(AllocFree, ClosureAnsweredEeg22SolveStaysWithinAllocationBudget) {
   ASSERT_TRUE(wbtest::closure_fits(p));
   partition::PartitionOptions opts;
   opts.mip.max_nodes = 400;
-  opts.mip.threads = 1;
   (void)partition::solve_partition(p, opts);  // process-wide statics
 
   const std::uint64_t before = util::allocation_count();
@@ -304,7 +302,6 @@ TEST(AllocFree, CompileEeg22StaysWithinAllocationBudget) {
   apps::EegApp app = apps::build_eeg_app();  // 22 channels
   const auto traces = apps::eeg_traces(app, 8);
   core::CompileOptions opts;
-  opts.partition.mip.threads = 1;
   core::Wishbone wb(app.g, profile::platform_by_name("Gumstix"), opts);
   const double rate = app.full_rate_events_per_sec();
   (void)wb.compile(traces, 8, rate);

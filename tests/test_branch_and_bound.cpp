@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <random>
 #include <string>
 
 #include "ilp/branch_and_bound.hpp"
 #include "lp_generators.hpp"
+#include "util/assert.hpp"
 
 using namespace wishbone::ilp;
 
@@ -256,4 +258,109 @@ TEST(BranchAndBound, SerialWalkIsPinned) {
     EXPECT_EQ(r.incumbents.size(), w.incumbents) << label;
     EXPECT_NEAR(r.objective, w.objective, 1e-9) << label;
   }
+}
+
+TEST(BranchAndBound, SerialIsBitReproducible) {
+  // The push/pop sequence is deterministic (ties resolve by the heap's
+  // sift order): two runs must take the identical walk.
+  for (std::uint32_t seed = 9100; seed < 9110; ++seed) {
+    const LinearProgram lp =
+        testgen::gen_partition_shaped(seed, /*integral=*/true);
+    MipOptions opts;
+    opts.lp.refactor_interval = 16;
+    const MipResult a = BranchAndBound().solve(lp, opts);
+    const MipResult b = BranchAndBound().solve(lp, opts);
+    ASSERT_EQ(a.status, b.status) << "seed=" << seed;
+    EXPECT_EQ(a.nodes_explored, b.nodes_explored) << "seed=" << seed;
+    EXPECT_EQ(a.lp_iterations, b.lp_iterations) << "seed=" << seed;
+    EXPECT_EQ(a.objective, b.objective) << "seed=" << seed;  // bitwise
+    EXPECT_EQ(a.best_bound, b.best_bound) << "seed=" << seed;
+    EXPECT_EQ(a.incumbents.size(), b.incumbents.size()) << "seed=" << seed;
+  }
+}
+
+TEST(BranchAndBound, ThreadsOtherThanOneThrow) {
+  // The search is serial; MipOptions::threads survives only as a field
+  // that must read 1.
+  const LinearProgram lp =
+      testgen::gen_partition_shaped(9100, /*integral=*/true);
+  for (std::size_t threads : {0u, 2u}) {
+    MipOptions opts;
+    opts.threads = threads;
+    EXPECT_THROW((void)BranchAndBound().solve(lp, opts),
+                 wishbone::util::ContractError)
+        << "threads=" << threads;
+  }
+}
+
+namespace {
+
+/// `lp` with the first term of row 0 dropped: the same shape (variable
+/// and row counts) but another constraint structure.
+LinearProgram restructured(const LinearProgram& lp) {
+  LinearProgram out;
+  for (int v = 0; v < lp.num_variables(); ++v) {
+    (void)out.add_variable(lp.variable_name(v), lp.lower(v), lp.upper(v),
+                           lp.objective_coeff(v), lp.is_integer(v));
+  }
+  for (std::size_t r = 0; r < lp.constraints().size(); ++r) {
+    Constraint c = lp.constraints()[r];
+    if (r == 0) c.terms.erase(c.terms.begin());
+    out.add_constraint(std::move(c));
+  }
+  return out;
+}
+
+void expect_same_answer(const MipResult& want, const MipResult& got,
+                        const LinearProgram& lp, const std::string& label) {
+  ASSERT_EQ(want.status, got.status) << label;
+  ASSERT_EQ(want.has_incumbent, got.has_incumbent) << label;
+  if (!want.has_incumbent) return;
+  const double tol = 1e-6 * std::max(1.0, std::fabs(want.objective));
+  EXPECT_NEAR(want.objective, got.objective, tol) << label;
+  if (want.status == SolveStatus::kOptimal) {
+    EXPECT_NEAR(want.best_bound, got.best_bound, tol) << label;
+  }
+  EXPECT_LE(lp.max_violation(got.x), 1e-5)
+      << label << ": the solve returned an infeasible incumbent";
+}
+
+}  // namespace
+
+TEST(BranchAndBound, StructureRejectedWarmBasisColdStarts) {
+  // A donor basis from a structurally different model of the same
+  // shape: load_basis turns it away, and the solve gives the cold
+  // solve's answer.
+  const LinearProgram lp =
+      testgen::gen_partition_shaped(9950, /*integral=*/true);
+  const LinearProgram other = restructured(lp);
+  ASSERT_NE(other.structure_hash(), lp.structure_hash());
+  MipOptions opts;
+  opts.lp.refactor_interval = 16;
+  const MipResult donor = BranchAndBound().solve(other, opts);
+  ASSERT_FALSE(donor.final_basis.empty());
+  const MipResult cold = BranchAndBound().solve(lp, opts);
+  opts.warm_basis = donor.final_basis;
+  const MipResult r = BranchAndBound().solve(lp, opts);
+  EXPECT_TRUE(r.warm_basis_rejected);
+  EXPECT_EQ(r.warm_basis_reject_reason, BasisRejectReason::kStructure);
+  EXPECT_FALSE(r.warm_basis_loaded);
+  expect_same_answer(cold, r, lp, "rejected basis");
+}
+
+TEST(BranchAndBound, WarmBasisLoads) {
+  // A basis inherited from a previous structurally identical solve
+  // loads, reports as loaded, and leaves the answer unchanged.
+  const LinearProgram lp =
+      testgen::gen_partition_shaped(9950, /*integral=*/true);
+  MipOptions opts;
+  opts.lp.refactor_interval = 16;
+  const MipResult first = BranchAndBound().solve(lp, opts);
+  ASSERT_FALSE(first.final_basis.empty());
+  opts.warm_basis = first.final_basis;
+  const MipResult r = BranchAndBound().solve(lp, opts);
+  EXPECT_TRUE(r.warm_basis_loaded);
+  EXPECT_FALSE(r.warm_basis_rejected);
+  EXPECT_EQ(r.warm_basis_reject_reason, BasisRejectReason::kNone);
+  expect_same_answer(first, r, lp, "warm basis");
 }

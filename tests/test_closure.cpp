@@ -275,7 +275,6 @@ std::vector<Side> bnb_cut(const PartitionProblem& p, std::size_t num_ops,
   const PartitionProblem work = partition::preprocess(p);
   ilp::MipOptions mo;
   mo.max_nodes = 400;
-  mo.threads = 1;
   mo.rounding_hook = [&work](const std::vector<double>& x) {
     return partition::threshold_round(work, x);
   };
@@ -319,7 +318,6 @@ TEST(Closure, CompileGridCutsMatchBranchAndBound) {
 
   partition::PartitionOptions opts;
   opts.mip.max_nodes = 400;
-  opts.mip.threads = 1;
   std::size_t fits = 0, requests = 0;
   for (const ProfiledApp& a : apps_) {
     const graph::PinAnalysis pins =
@@ -362,7 +360,6 @@ TEST(Closure, StreamExecCutsStayTheBranchAndBoundCuts) {
   // probe breaks the CPU budget, so branch and bound still answers it.)
   core::CompileOptions co;
   co.partition.mip.max_nodes = 400;
-  co.partition.mip.threads = 1;
 
   apps::EegApp eeg = apps::build_eeg_app();
   apps::SpeechApp speech = apps::build_speech_app();

@@ -12,8 +12,8 @@
 //   WISHBONE_DIFF_TRIALS=5000 ./build/wishbone_tests \
 //       --gtest_filter='LpDifferential*'
 //
-// Generators (tests/lp_generators.hpp, shared with the serial-vs-
-// parallel suite in test_parallel_bnb.cpp) draw coefficients from a
+// Generators (tests/lp_generators.hpp, shared with the branch-and-
+// bound tests in test_branch_and_bound.cpp) draw coefficients from a
 // dyadic grid (multiples of 1/64) so feasibility/optimality margins
 // are either exactly zero or far above the solver tolerances —
 // instances stay off the tolerance knife-edge where the two engines

@@ -1,8 +1,7 @@
 // The partitioning service (src/serve): canonical graph hashing, the
 // LRU solve cache, basis-compatibility validation, and differential
-// server-vs-direct testing in the style of test_parallel_bnb.cpp — the
-// server changes *speed* (hits, coalescing, warm bases), never
-// *answers*.
+// server-vs-direct testing — the server changes *speed* (hits,
+// coalescing, warm bases), never *answers*.
 #include <gtest/gtest.h>
 
 #include <atomic>
