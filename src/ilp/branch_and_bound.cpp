@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "obs/metrics.hpp"
