@@ -214,6 +214,12 @@ TEST(FleetSim, ConfigHashSeparatesFleetAndFaultFields) {
   EXPECT_NE(a.hash(), b.hash());
 }
 
+TEST(FleetSim, DefaultConfigHashIsPinned) {
+  // Computed before the fixed fleet parameters became constants; a
+  // changed value or mixing step moves every stamped bench snapshot.
+  EXPECT_EQ(FleetConfig{}.hash(), 14382886537016469362ULL);
+}
+
 TEST(FleetSim, ContractChecks) {
   EXPECT_THROW(FleetSim(chain_problem(), [] {
                  FleetConfig fc = clean_config();

@@ -139,3 +139,28 @@ TEST(Model, ToTextMentionsEverything) {
   EXPECT_NE(text.find("cpu_budget"), std::string::npos);
   EXPECT_NE(text.find("integer"), std::string::npos);
 }
+
+TEST(Model, StructureHashIsPinned) {
+  // Warm bases are matched by this value across processes, so its bits
+  // must not move with a refactor of the hashing helpers.
+  LinearProgram lp;
+  const int x = lp.add_variable("x", 0.0, 4.0, 1.0, false);
+  const int y = lp.add_binary("y", -1.0);
+  const int z = lp.add_binary("z", 2.0);
+  Constraint a;
+  a.terms = {{x, 1.0}, {y, 2.0}};
+  a.rel = Relation::kLe;
+  a.rhs = 3.0;
+  lp.add_constraint(a);
+  Constraint b;
+  b.terms = {{z, 1.0}, {y, -1.0}, {x, 0.5}};
+  b.rel = Relation::kGe;
+  b.rhs = 0.0;
+  lp.add_constraint(b);
+  Constraint e;
+  e.terms = {{y, 1.0}, {z, 1.0}};
+  e.rel = Relation::kEq;
+  e.rhs = 1.0;
+  lp.add_constraint(e);
+  EXPECT_EQ(lp.structure_hash(), 1943226280693939160ULL);
+}

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/eeg.hpp"
+#include "apps/speech.hpp"
 #include "dsp/dct.hpp"
 #include "dsp/fft.hpp"
 #include "graph/graph.hpp"
@@ -115,6 +117,17 @@ TEST(GraphHash, InsertionOrderAndIdentityInvariance) {
 
   EXPECT_EQ(canonical_graph_hash(g1), canonical_graph_hash(g2));
   EXPECT_NE(canonical_graph_hash(g1), 0u);
+}
+
+TEST(GraphHash, AppHashesArePinned) {
+  // Cache keys carry these values, so a refactor of the hashing helpers
+  // must leave every bit in place.
+  apps::EegConfig eeg8;
+  eeg8.channels = 8;
+  EXPECT_EQ(canonical_graph_hash(apps::build_eeg_app(eeg8).g),
+            15085864447961821735ULL);
+  EXPECT_EQ(canonical_graph_hash(apps::build_speech_app().g),
+            17598231372604906527ULL);
 }
 
 TEST(GraphHash, OneEdgeDifferenceChangesHash) {
