@@ -5,24 +5,11 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace wishbone::ilp {
 
-namespace {
-
-/// splitmix64 finalizer: cheap, well-mixed 64-bit avalanche.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
-  return mix64(h ^ mix64(v));
-}
-
-}  // namespace
+using util::hash_combine;
 
 int LinearProgram::add_variable(std::string name, double lower, double upper,
                                 double objective_coeff, bool is_integer) {

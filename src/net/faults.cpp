@@ -1,10 +1,10 @@
 #include "net/faults.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace wishbone::net {
 
@@ -17,18 +17,6 @@ double overlap_s(double a0, double a1, double b0, double b1) {
   const double lo = std::max(a0, b0);
   const double hi = std::min(a1, b1);
   return hi > lo ? hi - lo : 0.0;
-}
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  return mix64(h, bits);
 }
 
 /// Deterministic choice of k distinct nodes out of n (partial
@@ -104,22 +92,22 @@ std::uint64_t BurstyChannel::deliver_count(double per_node_payload_rate,
 
 std::uint64_t FaultConfig::hash() const {
   std::uint64_t h = 0xFA01DULL;
-  h = mix_double(h, duration_s);
-  h = mix_double(h, crash_fraction);
-  h = mix_double(h, crash_min_down_s);
-  h = mix_double(h, crash_max_down_s);
-  h = mix_double(h, degrade_fraction);
-  h = mix_double(h, degrade_min_factor);
-  h = mix_double(h, degrade_max_factor);
-  h = mix_double(h, degrade_min_s);
-  h = mix_double(h, degrade_max_s);
-  h = mix64(h, basestation_outages);
-  h = mix_double(h, outage_min_s);
-  h = mix_double(h, outage_max_s);
-  h = mix_double(h, ge.p_good_to_bad);
-  h = mix_double(h, ge.p_bad_to_good);
-  h = mix_double(h, ge.loss_good);
-  h = mix_double(h, ge.loss_bad);
+  h = util::mix_double(h, duration_s);
+  h = util::mix_double(h, crash_fraction);
+  h = util::mix_double(h, crash_min_down_s);
+  h = util::mix_double(h, crash_max_down_s);
+  h = util::mix_double(h, degrade_fraction);
+  h = util::mix_double(h, degrade_min_factor);
+  h = util::mix_double(h, degrade_max_factor);
+  h = util::mix_double(h, degrade_min_s);
+  h = util::mix_double(h, degrade_max_s);
+  h = util::combine(h, basestation_outages);
+  h = util::mix_double(h, outage_min_s);
+  h = util::mix_double(h, outage_max_s);
+  h = util::mix_double(h, ge.p_good_to_bad);
+  h = util::mix_double(h, ge.p_bad_to_good);
+  h = util::mix_double(h, ge.loss_good);
+  h = util::mix_double(h, ge.loss_bad);
   return h == 0 ? 1 : h;
 }
 

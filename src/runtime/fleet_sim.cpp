@@ -2,28 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace wishbone::runtime {
 
 namespace {
 
 constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
-
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  return mix64(h, bits);
-}
 
 /// Reflecting clamp of a multiplicative walk into [lo, hi].
 double reflect(double f, double lo, double hi) {
@@ -36,29 +24,29 @@ double reflect(double f, double lo, double hi) {
 
 std::uint64_t FleetConfig::hash() const {
   std::uint64_t h = 0xF1EE7ULL;
-  h = mix64(h, num_nodes);
-  h = mix64(h, tree_fanout);
-  h = mix64(h, num_classes);
-  h = mix_double(h, events_per_sec);
-  h = mix_double(h, epoch_s);
-  h = mix64(h, epochs);
-  h = mix_double(h, radio.payload_bytes);
-  h = mix_double(h, radio.header_bytes);
-  h = mix_double(h, radio.capacity_bytes_per_sec);
-  h = mix_double(h, radio.tx_bytes_per_sec);
-  h = mix_double(h, radio.baseline_delivery);
-  h = mix_double(h, radio.saturation_knee);
-  h = mix_double(h, radio.collapse_exponent);
-  h = mix64(h, radio_queue_msgs);
-  h = mix_double(h, class_cpu_spread);
-  h = mix_double(h, drift_step);
-  h = mix_double(h, drift_min);
-  h = mix_double(h, drift_max);
-  h = mix_double(h, cpu_trend_per_epoch);
-  h = mix_double(h, burst_slot_s);
-  h = mix_double(h, reroute_s);
-  h = mix64(h, seed);
-  h = mix64(h, faults.hash());
+  h = util::combine(h, num_nodes);
+  h = util::combine(h, tree_fanout);
+  h = util::combine(h, num_classes);
+  h = util::mix_double(h, events_per_sec);
+  h = util::mix_double(h, epoch_s);
+  h = util::combine(h, epochs);
+  h = util::mix_double(h, radio.payload_bytes);
+  h = util::mix_double(h, radio.header_bytes);
+  h = util::mix_double(h, radio.capacity_bytes_per_sec);
+  h = util::mix_double(h, radio.tx_bytes_per_sec);
+  h = util::mix_double(h, radio.baseline_delivery);
+  h = util::mix_double(h, radio.saturation_knee);
+  h = util::mix_double(h, radio.collapse_exponent);
+  h = util::combine(h, radio_queue_msgs);
+  h = util::mix_double(h, class_cpu_spread);
+  h = util::mix_double(h, drift_step);
+  h = util::mix_double(h, drift_min);
+  h = util::mix_double(h, drift_max);
+  h = util::mix_double(h, cpu_trend_per_epoch);
+  h = util::mix_double(h, burst_slot_s);
+  h = util::mix_double(h, reroute_s);
+  h = util::combine(h, seed);
+  h = util::combine(h, faults.hash());
   return h == 0 ? 1 : h;
 }
 

@@ -6,39 +6,24 @@
 #include <string_view>
 
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace wishbone::serve {
 
+using util::hash_combine;
+
 namespace {
 
-/// splitmix64 finalizer (same mixing family as the ILP structure hash).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t combine(std::uint64_t h, std::uint64_t v) {
-  return mix64(h ^ mix64(v));
-}
-
+/// Folds the length and the FNV-1a of `s` into the running hash.
 std::uint64_t hash_str(std::uint64_t h, std::string_view s) {
-  h = combine(h, s.size());
-  // FNV-1a over the bytes, folded into the running hash.
-  std::uint64_t f = 0xcbf29ce484222325ull;
-  for (char c : s) {
-    f ^= static_cast<unsigned char>(c);
-    f *= 0x100000001b3ull;
-  }
-  return combine(h, f);
+  return hash_combine(hash_combine(h, s.size()), util::fnv1a(s));
 }
 
 /// Order-free fold of a multiset of hashes: sort, then chain-combine.
 std::uint64_t fold_sorted(std::uint64_t h, std::vector<std::uint64_t>& v) {
   std::sort(v.begin(), v.end());
-  h = combine(h, v.size());
-  for (std::uint64_t x : v) h = combine(h, x);
+  h = hash_combine(h, v.size());
+  for (std::uint64_t x : v) h = hash_combine(h, x);
   return h;
 }
 
@@ -66,7 +51,7 @@ std::uint64_t refine_and_fold(const std::vector<std::uint64_t>& attrs,
     scratch.clear();
     for (std::size_t e : out[v]) {
       scratch.push_back(
-          combine(combine(0x6ee1daull, edges[e].port), down[edges[e].to]));
+          hash_combine(hash_combine(0x6ee1daull, edges[e].port), down[edges[e].to]));
     }
     down[v] = fold_sorted(attrs[v], scratch);
   }
@@ -75,22 +60,22 @@ std::uint64_t refine_and_fold(const std::vector<std::uint64_t>& attrs,
     scratch.clear();
     for (std::size_t e : in[v]) {
       scratch.push_back(
-          combine(combine(0x0b57aceull, edges[e].port), up[edges[e].from]));
+          hash_combine(hash_combine(0x0b57aceull, edges[e].port), up[edges[e].from]));
     }
     up[v] = fold_sorted(attrs[v], scratch);
   }
 
   std::vector<std::uint64_t> sig(n);
-  for (std::size_t v = 0; v < n; ++v) sig[v] = combine(down[v], up[v]);
+  for (std::size_t v = 0; v < n; ++v) sig[v] = hash_combine(down[v], up[v]);
 
-  std::uint64_t h = combine(combine(0x5e9a7e5e11ull, n), edges.size());
+  std::uint64_t h = hash_combine(hash_combine(0x5e9a7e5e11ull, n), edges.size());
   std::vector<std::uint64_t> vs = sig;
   h = fold_sorted(h, vs);
   std::vector<std::uint64_t> es;
   es.reserve(edges.size());
   for (const EdgeRef& e : edges) {
     es.push_back(
-        combine(combine(combine(0xed9eull, sig[e.from]), sig[e.to]), e.port));
+        hash_combine(hash_combine(hash_combine(0xed9eull, sig[e.from]), sig[e.to]), e.port));
   }
   h = fold_sorted(h, es);
   return h == 0 ? 1 : h;
@@ -104,12 +89,12 @@ std::uint64_t canonical_graph_hash(const graph::Graph& g) {
   for (std::size_t v = 0; v < n; ++v) {
     const graph::OperatorInfo& i = g.info(v);
     std::uint64_t a = hash_str(0xa77200ull, i.name);
-    a = combine(a, static_cast<std::uint64_t>(i.ns));
-    a = combine(a, (i.is_source ? 1u : 0u) | (i.is_sink ? 2u : 0u) |
+    a = hash_combine(a, static_cast<std::uint64_t>(i.ns));
+    a = hash_combine(a, (i.is_source ? 1u : 0u) | (i.is_sink ? 2u : 0u) |
                        (i.stateful ? 4u : 0u) | (i.side_effects ? 8u : 0u));
-    a = combine(a, i.num_inputs);
-    a = combine(a, i.ram_bytes);
-    attrs[v] = combine(a, i.rom_bytes);
+    a = hash_combine(a, i.num_inputs);
+    a = hash_combine(a, i.ram_bytes);
+    attrs[v] = hash_combine(a, i.rom_bytes);
   }
   std::vector<std::size_t> topo = g.topo_order();
   std::vector<EdgeRef> edges;
@@ -125,7 +110,7 @@ std::uint64_t canonical_problem_hash(const partition::PartitionProblem& p) {
   std::vector<std::uint64_t> attrs(n);
   for (std::size_t v = 0; v < n; ++v) {
     std::uint64_t a = hash_str(0x9b0bull, p.vertices[v].name);
-    attrs[v] = combine(a, static_cast<std::uint64_t>(p.vertices[v].req));
+    attrs[v] = hash_combine(a, static_cast<std::uint64_t>(p.vertices[v].req));
   }
   std::vector<std::size_t> topo = p.topo_order();
   std::vector<EdgeRef> edges;
@@ -190,7 +175,7 @@ std::uint64_t profile_hash(const std::vector<std::int64_t>& quantized) {
   }
   std::uint64_t h = n;
   for (std::uint64_t l : lane) h = fold(h, static_cast<std::int64_t>(l));
-  return mix64(h);
+  return util::splitmix64(h);
 }
 
 }  // namespace wishbone::serve

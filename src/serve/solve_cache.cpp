@@ -2,33 +2,14 @@
 
 #include "serve/graph_hash.hpp"
 #include "util/assert.hpp"
+#include "util/hash.hpp"
 
 namespace wishbone::serve {
 
-namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_platform(const std::string& s) {
-  std::uint64_t f = 0xcbf29ce484222325ull;
-  for (char c : s) {
-    f ^= static_cast<unsigned char>(c);
-    f *= 0x100000001b3ull;
-  }
-  return f;
-}
-
-}  // namespace
-
 std::size_t CacheKeyHash::operator()(const CacheKey& k) const {
-  std::uint64_t h = mix64(k.graph_hash);
-  h = mix64(h ^ hash_platform(k.platform_id));
-  h = mix64(h ^ profile_hash(k.profile));
+  std::uint64_t h = util::splitmix64(k.graph_hash);
+  h = util::splitmix64(h ^ util::fnv1a(k.platform_id));
+  h = util::splitmix64(h ^ profile_hash(k.profile));
   return static_cast<std::size_t>(h);
 }
 
@@ -38,7 +19,7 @@ SolveCache::SolveCache(std::size_t capacity) : capacity_(capacity) {
 
 std::uint64_t SolveCache::pair_key(std::uint64_t graph_hash,
                                    const std::string& platform_id) {
-  return mix64(graph_hash ^ mix64(hash_platform(platform_id)));
+  return util::hash_combine(graph_hash, util::fnv1a(platform_id));
 }
 
 std::shared_ptr<const partition::PartitionResult> SolveCache::lookup(
