@@ -1,6 +1,5 @@
 #include "core/wishbone.hpp"
 
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -36,7 +35,7 @@ CompileReport Wishbone::run(profile::ProfileData pd,
   CompileReport rep;
   rep.profile = std::move(pd);
   rep.requested_rate = events_per_sec;
-  rep.pins = graph::analyze_pins(g_, opts_.mode);
+  rep.pins = graph::analyze_pins(g_, CompileOptions::mode);
 
   // make_problem gives operator v vertex v, so the sides solve_partition
   // returns are already indexed by OperatorId.
@@ -45,24 +44,19 @@ CompileReport Wishbone::run(profile::ProfileData pd,
                                    rate);
   };
 
+  // The search's first probe is the solve at the requested rate, and
+  // only that probe can return exactly max_rate, so a fit there needs no
+  // solve of its own.
+  partition::RateSearchOptions rs;
+  rs.partition = opts_.partition;
+  rs.min_rate = events_per_sec / 4096.0;
+  rs.max_rate = events_per_sec;
+  rs.rel_tol = CompileOptions::rate_search_rel_tol;
+  partition::RateSearchResult found =
+      partition::max_sustainable_rate(problem_at, rs);
   partition::PartitionResult res;
-  std::optional<partition::RateSearchResult> found;
-  if (opts_.search_rate_on_overload) {
-    // The search's first probe is the solve at the requested rate, and
-    // only that probe can return exactly max_rate, so a fit there needs
-    // no solve of its own.
-    partition::RateSearchOptions rs;
-    rs.partition = opts_.partition;
-    rs.min_rate = events_per_sec / 4096.0;
-    rs.max_rate = events_per_sec;
-    rs.rel_tol = opts_.rate_search_rel_tol;
-    found = partition::max_sustainable_rate(problem_at, rs);
-    if (found->any_feasible && found->max_rate == events_per_sec) {
-      res = std::move(found->partition_at_max);
-    }
-  } else {
-    res = partition::solve_partition(problem_at(events_per_sec),
-                                     opts_.partition);
+  if (found.any_feasible && found.max_rate == events_per_sec) {
+    res = std::move(found.partition_at_max);
   }
 
   std::ostringstream msg;
@@ -80,15 +74,15 @@ CompileReport Wishbone::run(profile::ProfileData pd,
     msg << "no partition fits at " << events_per_sec << " events/s on "
         << platform_.name << " (CPU budget " << platform_.cpu_budget
         << ", uplink budget " << platform_.radio_bytes_per_sec << " B/s)";
-    if (found && found->any_feasible) {
-      rep.max_sustainable_rate = found->max_rate;
-      rep.partition_rate = found->max_rate;
-      rep.partition = std::move(found->partition_at_max);
-      msg << "; maximum sustainable rate is " << found->max_rate
-          << " events/s (" << (100.0 * found->max_rate / events_per_sec)
+    if (found.any_feasible) {
+      rep.max_sustainable_rate = found.max_rate;
+      rep.partition_rate = found.max_rate;
+      rep.partition = std::move(found.partition_at_max);
+      msg << "; maximum sustainable rate is " << found.max_rate
+          << " events/s (" << (100.0 * found.max_rate / events_per_sec)
           << "% of requested) — reduce the sampling rate or accept "
           << "load shedding at the sources";
-    } else if (found) {
+    } else {
       msg << "; no rate admits a partition: the pinned operators alone "
           << "exceed the budgets — use a more capable platform";
     }

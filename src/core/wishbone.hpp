@@ -33,13 +33,14 @@
 namespace wishbone::core {
 
 struct CompileOptions {
-  graph::Mode mode = graph::Mode::kPermissive;
+  static constexpr graph::Mode mode = graph::Mode::kPermissive;
   partition::PartitionOptions partition;
-  /// When the requested rate is infeasible, search for the maximum
-  /// sustainable rate instead of failing outright (§4.3). The search's
-  /// first probe is then the solve at the requested rate.
-  bool search_rate_on_overload = true;
-  double rate_search_rel_tol = 0.01;
+  /// When the requested rate is infeasible, the compile searches for
+  /// the maximum sustainable rate instead of failing outright (§4.3),
+  /// to this relative tolerance. The search's first probe is the solve
+  /// at the requested rate.
+  static constexpr bool search_rate_on_overload = true;
+  static constexpr double rate_search_rel_tol = 0.01;
 };
 
 struct CompileReport {

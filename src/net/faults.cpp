@@ -44,9 +44,8 @@ GilbertElliott::GilbertElliott(GilbertElliottParams params, std::uint64_t seed)
   WB_REQUIRE(params_.p_good_to_bad >= 0.0 && params_.p_good_to_bad <= 1.0 &&
                  params_.p_bad_to_good > 0.0 && params_.p_bad_to_good <= 1.0,
              "Gilbert-Elliott transition probabilities out of range");
-  WB_REQUIRE(params_.loss_good >= 0.0 && params_.loss_good <= 1.0 &&
-                 params_.loss_bad >= 0.0 && params_.loss_bad <= 1.0,
-             "Gilbert-Elliott loss probabilities out of range");
+  WB_REQUIRE(params_.loss_bad >= 0.0 && params_.loss_bad <= 1.0,
+             "Gilbert-Elliott loss probability out of range");
 }
 
 bool GilbertElliott::lose() {
@@ -60,7 +59,8 @@ bool GilbertElliott::lose() {
   }
   ++steps_;
   if (bad_) ++bad_steps_;
-  const double loss = bad_ ? params_.loss_bad : params_.loss_good;
+  const double loss =
+      bad_ ? params_.loss_bad : GilbertElliottParams::loss_good;
   return rng_.next_uniform() < loss;
 }
 
@@ -121,12 +121,8 @@ FaultSchedule::FaultSchedule(const FaultConfig& cfg, std::size_t num_nodes,
                  cfg.degrade_fraction >= 0.0 && cfg.degrade_fraction <= 1.0,
              "fault fractions out of range");
   WB_REQUIRE(cfg.crash_max_down_s >= cfg.crash_min_down_s &&
-                 cfg.degrade_max_s >= cfg.degrade_min_s &&
                  cfg.outage_max_s >= cfg.outage_min_s,
              "fault window bounds inverted");
-  WB_REQUIRE(cfg.degrade_min_factor > 0.0 && cfg.degrade_max_factor <= 1.0 &&
-                 cfg.degrade_max_factor >= cfg.degrade_min_factor,
-             "degradation factors out of range");
 
   // Independent child streams per fault family: adding outages to a
   // config never reshuffles which nodes crash.
@@ -154,12 +150,12 @@ FaultSchedule::FaultSchedule(const FaultConfig& cfg, std::size_t num_nodes,
        pick_nodes(num_nodes, num_degraded, degrade_rng)) {
     LinkDegradation d;
     d.node = node;
-    const double len =
-        degrade_rng.next_in(cfg.degrade_min_s, cfg.degrade_max_s);
+    const double len = degrade_rng.next_in(FaultConfig::degrade_min_s,
+                                           FaultConfig::degrade_max_s);
     d.start_s = degrade_rng.next_in(0.0, std::max(cfg.duration_s - len, 0.0));
     d.end_s = std::min(d.start_s + len, cfg.duration_s);
-    d.delivery_factor =
-        degrade_rng.next_in(cfg.degrade_min_factor, cfg.degrade_max_factor);
+    d.delivery_factor = degrade_rng.next_in(FaultConfig::degrade_min_factor,
+                                            FaultConfig::degrade_max_factor);
     degradations_.push_back(d);
   }
 

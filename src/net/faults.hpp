@@ -38,7 +38,7 @@ namespace wishbone::net {
 struct GilbertElliottParams {
   double p_good_to_bad = 0.01;  ///< per-step entry into a loss burst
   double p_bad_to_good = 0.25;  ///< 1 / mean burst length
-  double loss_good = 0.0;       ///< extra loss probability, good state
+  static constexpr double loss_good = 0.0;  ///< loss probability, good state
   double loss_bad = 0.8;        ///< loss probability inside a burst
 };
 
@@ -111,12 +111,13 @@ struct FaultConfig {
   double crash_min_down_s = 20.0;
   double crash_max_down_s = 60.0;
 
-  /// Fraction of the fleet whose link degrades for one window.
+  /// Fraction of the fleet whose link degrades for one window; each
+  /// window's length and link-quality factor are drawn from these ranges.
   double degrade_fraction = 0.10;
-  double degrade_min_factor = 0.3;
-  double degrade_max_factor = 0.8;
-  double degrade_min_s = 15.0;
-  double degrade_max_s = 45.0;
+  static constexpr double degrade_min_factor = 0.3;
+  static constexpr double degrade_max_factor = 0.8;
+  static constexpr double degrade_min_s = 15.0;
+  static constexpr double degrade_max_s = 45.0;
 
   std::size_t basestation_outages = 1;
   double outage_min_s = 5.0;

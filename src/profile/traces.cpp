@@ -11,7 +11,15 @@ namespace wishbone::profile::traces {
 
 namespace {
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
-}
+
+constexpr double kVoicedFraction = 0.4;  ///< share of voiced segments
+constexpr double kPitchHz = 120.0;
+constexpr double kAmplitude = 1200.0;  ///< voiced peak, ADC counts
+
+constexpr double kSeizureFraction = 0.2;  ///< share of windows in episodes
+constexpr double kBackgroundUv = 30.0;
+constexpr double kSeizureUv = 150.0;
+}  // namespace
 
 std::vector<Frame> speech_trace(std::size_t num_frames,
                                 const SpeechParams& p) {
@@ -38,9 +46,9 @@ std::vector<Frame> speech_trace(std::size_t num_frames,
     for (std::size_t i = 0; i < p.frame_samples; ++i) {
       if (seg_left == 0) {
         const double r = unif(rng);
-        if (r < p.voiced_fraction) {
+        if (r < kVoicedFraction) {
           seg = Seg::kVoiced;
-        } else if (r < p.voiced_fraction + 0.2) {
+        } else if (r < kVoicedFraction + 0.2) {
           seg = Seg::kUnvoiced;
         } else {
           seg = Seg::kSilence;
@@ -55,20 +63,20 @@ std::vector<Frame> speech_trace(std::size_t num_frames,
       switch (seg) {
         case Seg::kVoiced: {
           // Harmonic stack with 1/h rolloff; light jitter on pitch.
-          const double pitch = p.pitch_hz * (1.0 + 0.02 * noise(rng));
+          const double pitch = kPitchHz * (1.0 + 0.02 * noise(rng));
           phase += kTwoPi * pitch * dt;
           for (int h = 1; h <= 6; ++h) {
             x += std::sin(phase * h) / static_cast<double>(h);
           }
-          x *= p.amplitude;
-          x += 0.05 * p.amplitude * noise(rng);
+          x *= kAmplitude;
+          x += 0.05 * kAmplitude * noise(rng);
           break;
         }
         case Seg::kUnvoiced:
-          x = 0.3 * p.amplitude * noise(rng);
+          x = 0.3 * kAmplitude * noise(rng);
           break;
         case Seg::kSilence:
-          x = 0.02 * p.amplitude * noise(rng);  // mic / amplifier noise
+          x = 0.02 * kAmplitude * noise(rng);  // mic / amplifier noise
           break;
       }
       // Clamp to the 12-bit ADC range (centered).
@@ -94,7 +102,7 @@ std::vector<Frame> eeg_trace(std::size_t num_windows, const EegParams& p) {
   {
     std::size_t w = 0;
     while (w < num_windows) {
-      if (unif(sched_rng) < p.seizure_fraction / 4.0) {
+      if (unif(sched_rng) < kSeizureFraction / 4.0) {
         // Episodes last ~4 windows (8 s).
         for (std::size_t k = 0; k < 4 && w + k < num_windows; ++k) {
           in_seizure[w + k] = 1;
@@ -123,10 +131,10 @@ std::vector<Frame> eeg_trace(std::size_t num_windows, const EegParams& p) {
     std::vector<float> s(p.window_samples);
     for (std::size_t i = 0; i < p.window_samples; ++i, t += dt) {
       lp = 0.95 * lp + 0.05 * noise(rng);
-      double x = p.background_uV * (6.0 * lp + 0.3 * noise(rng));
-      x += 0.4 * p.background_uV * std::sin(kTwoPi * 10.0 * t);  // alpha
+      double x = kBackgroundUv * (6.0 * lp + 0.3 * noise(rng));
+      x += 0.4 * kBackgroundUv * std::sin(kTwoPi * 10.0 * t);  // alpha
       if (in_seizure[w]) {
-        x += p.seizure_uV *
+        x += kSeizureUv *
              std::sin(kTwoPi * seiz_freq * t +
                       0.2 * static_cast<double>(p.channel));
       }

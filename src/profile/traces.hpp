@@ -21,29 +21,25 @@ using graph::Encoding;
 using graph::Frame;
 
 /// Speech-like audio: alternating voiced segments (harmonic stack with a
-/// formant-ish envelope), unvoiced fricative noise, and silence. Samples
-/// are centered 12-bit ADC counts (TMote audio board, §6.2.3).
+/// formant-ish envelope, 120 Hz pitch), unvoiced fricative noise, and
+/// silence, 40% of segments voiced. Samples are centered 12-bit ADC
+/// counts at a voiced amplitude of 1200 (TMote audio board, §6.2.3).
 struct SpeechParams {
   double sample_rate_hz = 8000.0;
   std::size_t frame_samples = 200;  ///< 25 ms frames (40 fps)
-  double voiced_fraction = 0.4;
-  double pitch_hz = 120.0;
-  double amplitude = 1200.0;  ///< ADC counts
   std::uint32_t seed = 1;
 };
 
 [[nodiscard]] std::vector<Frame> speech_trace(std::size_t num_frames,
                                               const SpeechParams& p = {});
 
-/// EEG-like signal: pink-ish background with 10 Hz alpha, interrupted by
-/// seizure episodes of large 3–8 Hz oscillatory waves (§6.1: "When a
-/// seizure occurs, oscillatory waves below 20 Hz appear").
+/// EEG-like signal: a 30 uV pink-ish background with 10 Hz alpha,
+/// interrupted by seizure episodes (about 20% of windows) of 150 uV
+/// 3–8 Hz oscillatory waves (§6.1: "When a seizure occurs, oscillatory
+/// waves below 20 Hz appear").
 struct EegParams {
   double sample_rate_hz = 256.0;
   std::size_t window_samples = 512;  ///< 2-second windows
-  double seizure_fraction = 0.2;
-  double background_uV = 30.0;
-  double seizure_uV = 150.0;
   std::uint32_t seed = 7;
   std::size_t channel = 0;  ///< decorrelates channels, same episodes
 };

@@ -34,14 +34,13 @@ DeploymentStats simulate_deployment(const graph::Graph& g,
   np.payload_per_event = st.cut_payload_per_event;
   np.duration_s = cfg.duration_s;
   np.radio = cfg.radio;
-  np.radio_queue_msgs = cfg.radio_queue_msgs;
   st.node = simulate_node(np);
 
   st.input_fraction = st.node.input_fraction();
 
   // Channel delivery from the aggregate measured send rate of all
   // nodes through the routing tree.
-  const net::TreeTopology topo(cfg.num_nodes, cfg.tree_fanout);
+  const net::TreeTopology topo(cfg.num_nodes);
   const double per_node_rate = st.node.payload_rate(cfg.duration_s);
   const double channel_delivery = topo.delivery_fraction(cfg.radio, per_node_rate);
   // Local queue drops also count against "messages received".

@@ -24,13 +24,13 @@
 
 namespace wishbone::runtime {
 
+/// Nodes route over TreeTopology's default fanout and queue
+/// NodeSimParams' default number of radio messages.
 struct DeploymentConfig {
   double events_per_sec = 1.0;  ///< source event rate per node
   std::size_t num_nodes = 1;
   double duration_s = 60.0;
   net::RadioModel radio;
-  std::size_t tree_fanout = 4;
-  std::size_t radio_queue_msgs = 32;
 };
 
 struct DeploymentStats {

@@ -67,8 +67,8 @@ FleetSim::FleetSim(partition::PartitionProblem base, FleetConfig cfg)
   WB_REQUIRE(cfg_.radio.capacity_bytes_per_sec > 0 &&
                  cfg_.radio.tx_bytes_per_sec > 0,
              "radio model incomplete");
-  WB_REQUIRE(cfg_.burst_slot_s > 0 && cfg_.burst_slot_s <= cfg_.epoch_s,
-             "burst slot must divide the epoch");
+  WB_REQUIRE(cfg_.epoch_s >= FleetConfig::burst_slot_s,
+             "an epoch must span at least one burst slot");
   base_.check();
 
   // Balanced collection tree: the first `fanout` nodes report straight
@@ -93,7 +93,7 @@ FleetSim::FleetSim(partition::PartitionProblem base, FleetConfig cfg)
                   static_cast<double>(cfg_.num_classes - 1);
     cpu_factor_[i] = reflect(1.0 - cfg_.class_cpu_spread / 2.0 +
                                  cfg_.class_cpu_spread * rel,
-                             cfg_.drift_min, cfg_.drift_max);
+                             FleetConfig::drift_min, FleetConfig::drift_max);
     bw_factor_[i] = 1.0;
     node_rng_.push_back(root_rng.fork(i));
   }
@@ -121,7 +121,7 @@ NodeSimParams FleetSim::nominal_workload(
   np.payload_per_event = cut_bw / cfg_.events_per_sec;
   np.duration_s = cfg_.epoch_s;
   np.radio = cfg_.radio;
-  np.radio_queue_msgs = cfg_.radio_queue_msgs;
+  np.radio_queue_msgs = FleetConfig::radio_queue_msgs;
   return np;
 }
 
@@ -168,15 +168,15 @@ EpochStats FleetSim::run_epoch() {
     const double u_bw = node_rng_[i].next_uniform();
     cpu_factor_[i] = reflect(cpu_factor_[i] * (1.0 + cfg_.cpu_trend_per_epoch) *
                                  (1.0 + cfg_.drift_step * (2.0 * u_cpu - 1.0)),
-                             cfg_.drift_min, cfg_.drift_max);
+                             FleetConfig::drift_min, FleetConfig::drift_max);
     bw_factor_[i] = reflect(bw_factor_[i] *
                                 (1.0 + cfg_.drift_step * (2.0 * u_bw - 1.0)),
-                            cfg_.drift_min, cfg_.drift_max);
+                            FleetConfig::drift_min, FleetConfig::drift_max);
   }
 
   // ---- Gilbert-Elliott burst survival for this epoch's airtime.
   const auto slots = static_cast<std::uint64_t>(
-      std::max(1.0, std::floor(cfg_.epoch_s / cfg_.burst_slot_s + 0.5)));
+      std::max(1.0, std::floor(cfg_.epoch_s / FleetConfig::burst_slot_s + 0.5)));
   std::uint64_t lost_slots = 0;
   for (std::uint64_t s = 0; s < slots; ++s) lost_slots += burst_.lose() ? 1 : 0;
   const double burst_factor =
@@ -207,7 +207,7 @@ EpochStats FleetSim::run_epoch() {
     for (std::size_t a = parent_[i]; a != kRoot; a = parent_[a]) {
       if (faults_.node_down_overlap(a, t0, t1) > 0.0 &&
           !faults_.node_down(a, t0)) {
-        reroute[i] = std::min(cfg_.reroute_s / cfg_.epoch_s, 1.0);
+        reroute[i] = std::min(FleetConfig::reroute_s / cfg_.epoch_s, 1.0);
         break;
       }
     }

@@ -54,7 +54,7 @@ struct FleetConfig {
   double epoch_s = 10.0;
   std::size_t epochs = 30;
   net::RadioModel radio;
-  std::size_t radio_queue_msgs = 32;
+  static constexpr std::size_t radio_queue_msgs = 32;
 
   /// Class c's baseline CPU-speed factor spans
   /// [1 - spread/2, 1 + spread/2] across classes (1.0 = the profiled
@@ -64,19 +64,19 @@ struct FleetConfig {
   /// Per-node multiplicative random walk, one step per epoch, reflected
   /// into [drift_min, drift_max].
   double drift_step = 0.03;
-  double drift_min = 0.4;
-  double drift_max = 3.0;
+  static constexpr double drift_min = 0.4;
+  static constexpr double drift_max = 3.0;
   /// Deterministic per-epoch compounding of every node's CPU cost — the
   /// fleet-wide load creep that forces re-partitioning.
   double cpu_trend_per_epoch = 0.0;
 
   /// Granularity of the Gilbert-Elliott burst chain (one step per
   /// slot of shared-channel airtime).
-  double burst_slot_s = 0.1;
+  static constexpr double burst_slot_s = 0.1;
 
   /// Delivery blackout for a crashed node's descendants while the
   /// routing tree re-parents them (charged in the crash epoch).
-  double reroute_s = 2.0;
+  static constexpr double reroute_s = 2.0;
 
   std::uint64_t seed = 1;
   /// Fault schedule parameters; duration_s is overridden to the run

@@ -27,8 +27,7 @@ struct NodeSimParams {
   double payload_per_event = 0.0;   ///< bytes produced at the cut
   double duration_s = 60.0;
   net::RadioModel radio;
-  std::size_t radio_queue_msgs = 32;  ///< outgoing queue capacity
-  double tx_cpu_us_per_msg = 0.0;     ///< optional CPU tax per send
+  std::size_t radio_queue_msgs = 32;    ///< outgoing queue capacity
   std::size_t source_buffer_slots = 1;  ///< double buffering = 1 slot
 };
 

@@ -14,6 +14,14 @@ namespace wishbone::runtime {
 
 namespace {
 
+// Retry backoff outside pump mode: the first retry sleeps
+// kBackoffInitialS, each later one kBackoffFactor times longer, every
+// sleep scaled by a seeded factor in [1 - kBackoffJitter,
+// 1 + kBackoffJitter].
+constexpr double kBackoffInitialS = 0.01;
+constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffJitter = 0.5;
+
 const char* plan_source_name(PlanSource s) {
   switch (s) {
     case PlanSource::kFresh:
@@ -69,10 +77,6 @@ Repartitioner::Repartitioner(serve::PartitionServer& server, FleetSim& fleet,
   WB_REQUIRE(cfg_.trigger_divergence > cfg_.clear_divergence &&
                  cfg_.clear_divergence >= 0.0,
              "hysteresis band inverted");
-  WB_REQUIRE(cfg_.max_attempts >= 1, "need at least one solver attempt");
-  WB_REQUIRE(cfg_.backoff_factor >= 1.0 && cfg_.backoff_jitter >= 0.0 &&
-                 cfg_.backoff_jitter <= 1.0,
-             "backoff parameters out of range");
   if (cfg_.pump_server) {
     WB_REQUIRE(server_.options().workers == 0,
                "pump mode drains run_one and needs a workerless server");
@@ -171,18 +175,19 @@ RepartitionDecision Repartitioner::replan_class(std::size_t cls) {
   const double planned_quality = fleet_.measured_channel_quality();
 
   // ---- rung 1: fresh solve against the measured profile.
-  double backoff_s = cfg_.backoff_initial_s;
-  for (std::size_t attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
+  double backoff_s = kBackoffInitialS;
+  for (std::size_t attempt = 0; attempt < RepartitionerConfig::max_attempts;
+       ++attempt) {
     if (attempt > 0) {
       ++retries_;
       if (!cfg_.pump_server) {
         // Exponential backoff with seeded jitter so a thundering herd
         // of control loops desynchronizes instead of re-colliding.
         const double jit =
-            1.0 + cfg_.backoff_jitter * (2.0 * jitter_.next_uniform() - 1.0);
+            1.0 + kBackoffJitter * (2.0 * jitter_.next_uniform() - 1.0);
         std::this_thread::sleep_for(
             std::chrono::duration<double>(backoff_s * jit));
-        backoff_s *= cfg_.backoff_factor;
+        backoff_s *= kBackoffFactor;
       }
     }
     d.attempts = attempt + 1;

@@ -53,10 +53,9 @@ struct RepartitionerConfig {
   /// Per-attempt solver deadline (enforced by future::wait_for and the
   /// server's own admission/shedding). Ignored in pump mode.
   double deadline_s = 0.5;
-  std::size_t max_attempts = 3;
-  double backoff_initial_s = 0.01;
-  double backoff_factor = 2.0;
-  double backoff_jitter = 0.5;  ///< +/- fraction of the backoff step
+  /// Rung-1 attempts per class and round; retries back off
+  /// exponentially with seeded jitter (repartitioner.cpp).
+  static constexpr std::size_t max_attempts = 3;
 
   /// A stale plan older than this many epochs falls through to the
   /// baseline rung.

@@ -6,6 +6,10 @@
 
 namespace wishbone::runtime {
 
+namespace {
+constexpr double kTaskPostOverheadUs = 60.0;  ///< scheduler dispatch per task
+}
+
 SchedulerStats simulate_scheduler(const SchedulerConfig& cfg) {
   WB_REQUIRE(cfg.event_interval_us > 0, "event interval must be positive");
   WB_REQUIRE(cfg.radio_period_us > 0, "radio period must be positive");
@@ -63,9 +67,9 @@ SchedulerStats simulate_scheduler(const SchedulerConfig& cfg) {
     // Run the next application task of the active traversal.
     if (task_idx < cfg.traversal_tasks_us.size()) {
       const double dur = cfg.traversal_tasks_us[task_idx];
-      now += dur + cfg.task_post_overhead_us;
-      busy_us += dur + cfg.task_post_overhead_us;
-      overhead_us += cfg.task_post_overhead_us;
+      now += dur + kTaskPostOverheadUs;
+      busy_us += dur + kTaskPostOverheadUs;
+      overhead_us += kTaskPostOverheadUs;
       ++task_idx;
       // Events arriving mid-traversal (beyond the one buffered slot)
       // are missed.

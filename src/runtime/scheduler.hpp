@@ -8,7 +8,8 @@
 //
 // The simulator measures exactly that trade-off: given the per-task
 // durations of one graph traversal (before or after §3 task
-// splitting), the per-post overhead, and the radio service period, it
+// splitting) and the radio service period, with a fixed 60 us dispatch
+// overhead per task post, it
 // reports how long the radio task was starved and how much overhead
 // the task posts added — the "system health" knobs the code generator
 // balances when it inserts yield points.
@@ -23,7 +24,6 @@ struct SchedulerConfig {
   /// Durations of the application tasks of one event's graph traversal,
   /// in posting order. A split operator contributes several entries.
   std::vector<double> traversal_tasks_us;
-  double task_post_overhead_us = 60.0;  ///< scheduler dispatch per task
   double event_interval_us = 0.0;       ///< source event period
   double radio_period_us = 10'000.0;    ///< radio wants service this often
   double radio_task_us = 500.0;         ///< radio service duration

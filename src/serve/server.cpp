@@ -73,7 +73,7 @@ CacheKey PartitionServer::key_for(const SolveRequest& req) const {
   k.graph_hash = req.graph_hash != 0 ? req.graph_hash
                                      : canonical_problem_hash(req.problem);
   k.platform_id = req.platform_id;
-  k.profile = quantize_profile(req.problem, opts_.profile_resolution);
+  k.profile = quantize_profile(req.problem, ServeOptions::profile_resolution);
   return k;
 }
 

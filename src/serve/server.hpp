@@ -47,7 +47,7 @@ struct ServeOptions {
   std::size_t cache_capacity = 4096; ///< LRU solved-partition entries
   /// Relative profile quantization (graph_hash.hpp): profiles within
   /// ~5% land in the same cache cell.
-  double profile_resolution = 0.05;
+  static constexpr double profile_resolution = 0.05;
   /// Forwarded to every solve_partition call.
   partition::PartitionOptions partition;
 };

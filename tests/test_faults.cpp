@@ -272,7 +272,4 @@ TEST(Faults, ScheduleContractChecks) {
   fc.crash_min_down_s = 100.0;
   fc.crash_max_down_s = 50.0;
   EXPECT_THROW(FaultSchedule(fc, 10, 1), util::ContractError);
-  fc = test_config();
-  fc.degrade_min_factor = 0.0;
-  EXPECT_THROW(FaultSchedule(fc, 10, 1), util::ContractError);
 }

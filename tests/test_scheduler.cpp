@@ -12,7 +12,6 @@ namespace {
 SchedulerConfig base() {
   SchedulerConfig cfg;
   cfg.traversal_tasks_us = {1000.0, 2000.0, 1000.0};
-  cfg.task_post_overhead_us = 60.0;
   cfg.event_interval_us = 25'000.0;
   cfg.radio_period_us = 10'000.0;
   cfg.radio_task_us = 500.0;
