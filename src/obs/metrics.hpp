@@ -3,8 +3,8 @@
 // exporters:
 //
 //  - Counter: monotone, lock-free, sharded across cache lines so
-//    concurrent increments from the serve workers / B&B workers never
-//    bounce one hot line. Counts a component's stats() also reads live
+//    concurrent increments from the serve workers never bounce one
+//    hot line. Counts a component's stats() also reads live
 //    in InstanceCounters it owns, which the registry exports;
 //  - Gauge: last-written double (fleet goodput, divergence, queue
 //    depth);

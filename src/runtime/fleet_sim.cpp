@@ -13,8 +13,11 @@ namespace {
 
 constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
 
-/// Reflecting clamp of a multiplicative walk into [lo, hi].
-double reflect(double f, double lo, double hi) {
+/// Reflecting clamp of a multiplicative drift walk into
+/// [FleetConfig::drift_min, FleetConfig::drift_max].
+double reflect(double f) {
+  constexpr double lo = FleetConfig::drift_min;
+  constexpr double hi = FleetConfig::drift_max;
   if (f > hi) f = hi * hi / f;
   if (f < lo) f = lo * lo / f;
   return std::clamp(f, lo, hi);
@@ -92,8 +95,7 @@ FleetSim::FleetSim(partition::PartitionProblem base, FleetConfig cfg)
             : static_cast<double>(c) /
                   static_cast<double>(cfg_.num_classes - 1);
     cpu_factor_[i] = reflect(1.0 - cfg_.class_cpu_spread / 2.0 +
-                                 cfg_.class_cpu_spread * rel,
-                             FleetConfig::drift_min, FleetConfig::drift_max);
+                             cfg_.class_cpu_spread * rel);
     bw_factor_[i] = 1.0;
     node_rng_.push_back(root_rng.fork(i));
   }
@@ -167,11 +169,9 @@ EpochStats FleetSim::run_epoch() {
     const double u_cpu = node_rng_[i].next_uniform();
     const double u_bw = node_rng_[i].next_uniform();
     cpu_factor_[i] = reflect(cpu_factor_[i] * (1.0 + cfg_.cpu_trend_per_epoch) *
-                                 (1.0 + cfg_.drift_step * (2.0 * u_cpu - 1.0)),
-                             FleetConfig::drift_min, FleetConfig::drift_max);
-    bw_factor_[i] = reflect(bw_factor_[i] *
-                                (1.0 + cfg_.drift_step * (2.0 * u_bw - 1.0)),
-                            FleetConfig::drift_min, FleetConfig::drift_max);
+                             (1.0 + cfg_.drift_step * (2.0 * u_cpu - 1.0)));
+    bw_factor_[i] =
+        reflect(bw_factor_[i] * (1.0 + cfg_.drift_step * (2.0 * u_bw - 1.0)));
   }
 
   // ---- Gilbert-Elliott burst survival for this epoch's airtime.
