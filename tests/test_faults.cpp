@@ -175,11 +175,6 @@ TEST(Faults, ScheduleGoldenShape) {
   EXPECT_EQ(fc.hash(), 4920606272041360511ULL);
 }
 
-TEST(Faults, DefaultConfigHashIsPinned) {
-  // Computed before the fixed fault parameters became constants.
-  EXPECT_EQ(FaultConfig{}.hash(), 4920606272041360511ULL);
-}
-
 TEST(Faults, ConfigHashSeparatesFields) {
   FaultConfig a = test_config();
   FaultConfig b = a;
