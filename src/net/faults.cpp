@@ -8,6 +8,9 @@
 
 namespace wishbone::net {
 
+using util::combine;
+using util::mix_double;
+
 namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
@@ -92,22 +95,22 @@ std::uint64_t BurstyChannel::deliver_count(double per_node_payload_rate,
 
 std::uint64_t FaultConfig::hash() const {
   std::uint64_t h = 0xFA01DULL;
-  h = util::mix_double(h, duration_s);
-  h = util::mix_double(h, crash_fraction);
-  h = util::mix_double(h, crash_min_down_s);
-  h = util::mix_double(h, crash_max_down_s);
-  h = util::mix_double(h, degrade_fraction);
-  h = util::mix_double(h, degrade_min_factor);
-  h = util::mix_double(h, degrade_max_factor);
-  h = util::mix_double(h, degrade_min_s);
-  h = util::mix_double(h, degrade_max_s);
-  h = util::combine(h, basestation_outages);
-  h = util::mix_double(h, outage_min_s);
-  h = util::mix_double(h, outage_max_s);
-  h = util::mix_double(h, ge.p_good_to_bad);
-  h = util::mix_double(h, ge.p_bad_to_good);
-  h = util::mix_double(h, ge.loss_good);
-  h = util::mix_double(h, ge.loss_bad);
+  h = mix_double(h, duration_s);
+  h = mix_double(h, crash_fraction);
+  h = mix_double(h, crash_min_down_s);
+  h = mix_double(h, crash_max_down_s);
+  h = mix_double(h, degrade_fraction);
+  h = mix_double(h, degrade_min_factor);
+  h = mix_double(h, degrade_max_factor);
+  h = mix_double(h, degrade_min_s);
+  h = mix_double(h, degrade_max_s);
+  h = combine(h, basestation_outages);
+  h = mix_double(h, outage_min_s);
+  h = mix_double(h, outage_max_s);
+  h = mix_double(h, ge.p_good_to_bad);
+  h = mix_double(h, ge.p_bad_to_good);
+  h = mix_double(h, ge.loss_good);
+  h = mix_double(h, ge.loss_bad);
   return h == 0 ? 1 : h;
 }
 

@@ -9,6 +9,9 @@
 
 namespace wishbone::runtime {
 
+using util::combine;
+using util::mix_double;
+
 namespace {
 
 constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
@@ -27,29 +30,29 @@ double reflect(double f) {
 
 std::uint64_t FleetConfig::hash() const {
   std::uint64_t h = 0xF1EE7ULL;
-  h = util::combine(h, num_nodes);
-  h = util::combine(h, tree_fanout);
-  h = util::combine(h, num_classes);
-  h = util::mix_double(h, events_per_sec);
-  h = util::mix_double(h, epoch_s);
-  h = util::combine(h, epochs);
-  h = util::mix_double(h, radio.payload_bytes);
-  h = util::mix_double(h, radio.header_bytes);
-  h = util::mix_double(h, radio.capacity_bytes_per_sec);
-  h = util::mix_double(h, radio.tx_bytes_per_sec);
-  h = util::mix_double(h, radio.baseline_delivery);
-  h = util::mix_double(h, radio.saturation_knee);
-  h = util::mix_double(h, radio.collapse_exponent);
-  h = util::combine(h, radio_queue_msgs);
-  h = util::mix_double(h, class_cpu_spread);
-  h = util::mix_double(h, drift_step);
-  h = util::mix_double(h, drift_min);
-  h = util::mix_double(h, drift_max);
-  h = util::mix_double(h, cpu_trend_per_epoch);
-  h = util::mix_double(h, burst_slot_s);
-  h = util::mix_double(h, reroute_s);
-  h = util::combine(h, seed);
-  h = util::combine(h, faults.hash());
+  h = combine(h, num_nodes);
+  h = combine(h, tree_fanout);
+  h = combine(h, num_classes);
+  h = mix_double(h, events_per_sec);
+  h = mix_double(h, epoch_s);
+  h = combine(h, epochs);
+  h = mix_double(h, radio.payload_bytes);
+  h = mix_double(h, radio.header_bytes);
+  h = mix_double(h, radio.capacity_bytes_per_sec);
+  h = mix_double(h, radio.tx_bytes_per_sec);
+  h = mix_double(h, radio.baseline_delivery);
+  h = mix_double(h, radio.saturation_knee);
+  h = mix_double(h, radio.collapse_exponent);
+  h = combine(h, radio_queue_msgs);
+  h = mix_double(h, class_cpu_spread);
+  h = mix_double(h, drift_step);
+  h = mix_double(h, drift_min);
+  h = mix_double(h, drift_max);
+  h = mix_double(h, cpu_trend_per_epoch);
+  h = mix_double(h, burst_slot_s);
+  h = mix_double(h, reroute_s);
+  h = combine(h, seed);
+  h = combine(h, faults.hash());
   return h == 0 ? 1 : h;
 }
 
