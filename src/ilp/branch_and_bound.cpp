@@ -11,6 +11,9 @@
 //  4. A node counts toward MipOptions::max_nodes once it reaches its LP
 //     solve, whatever that LP returns.
 //  5. A numerical LP failure ends the run as censored.
+//  6. Under MipOptions::stop_at_first_incumbent, the node that installs
+//     the first incumbent ends the run: proved when it left the heap
+//     empty, censored otherwise.
 //
 // The heap orders by bound, then depth; remaining ties resolve by the
 // heap's deterministic sift order — NOT by creation index, a
@@ -146,6 +149,10 @@ class Search {
       heap_.pop_back();
       if (!process(nd)) {
         censored = true;
+        break;
+      }
+      if (opts_.stop_at_first_incumbent && has_inc_) {
+        censored = !heap_.empty();
         break;
       }
     }

@@ -53,6 +53,12 @@ struct MipOptions {
   /// Fix integer variables whose reduced cost proves no improving
   /// solution moves them off their bound (requires an incumbent).
   bool reduced_cost_fixing = true;
+  /// Feasibility mode: stop after the node that installs the first
+  /// incumbent (rounding hook or integral LP). The run reads as
+  /// censored (kIterationLimit) unless that node left the heap empty.
+  /// The walk up to that node is the full run's, so the first
+  /// IncumbentRecord is the same.
+  bool stop_at_first_incumbent = false;
   /// Optional basis inherited from a structurally identical solve (e.g.
   /// the previous rate-search probe), loaded into the SimplexState
   /// before the root LP. A basis load_basis rejects means a cold start.

@@ -4,6 +4,17 @@
 // argument of §4.3: CPU and network load scale (at least weakly)
 // monotonically with the input rate, so feasibility is a downward-
 // closed property of the rate.
+//
+// A probe decides only "does any cut fit at this rate?". The probe at
+// opts.max_rate is an optimizing solve, because its cut is the answer
+// when it fits. The probe at opts.min_rate and every bisection probe
+// stop at the first cut that fits (MipOptions::stop_at_first_incumbent);
+// the walk up to that cut is an optimizing solve's, so from the same
+// basis the verdict is the same. Once the bracket closes, one optimizing
+// solve runs at the final rate, warm-started from the basis its probe
+// left; it is skipped when that probe already proved its cut optimal
+// (closure-answered or an exhausted tree). A search that bisects
+// therefore makes one solve more than it has probes.
 #pragma once
 
 #include <functional>
@@ -26,20 +37,30 @@ struct RateSearchResult {
   /// opts.max_rate and every later one strictly inside the bracket, so
   /// max_rate == opts.max_rate exactly when that first probe fits.
   double max_rate = 0.0;
-  PartitionResult partition_at_max; ///< the cut found at that rate
+  /// The cut at max_rate: the final optimizing solve's, unless it found
+  /// none or a worse one (or was skipped), in which case the cut of the
+  /// probe that proved max_rate feasible.
+  PartitionResult partition_at_max;
+  /// Every solve_partition call: the probes plus the final solve when it
+  /// runs.
   std::size_t partitions_solved = 0;
+  /// Probes that ended censored (node or time budget) without a cut.
+  /// They count as infeasible and lower the bracket's top, so a search
+  /// with one may stop below the true maximum.
+  std::size_t probes_censored = 0;
 
-  // Solver totals across *all* probes (partition_at_max only carries
-  // the winning probe's): how much LP work the whole search cost.
+  // Solver totals across *all* solves, the final one included
+  // (partition_at_max only carries its own): how much LP work the whole
+  // search cost.
   std::size_t total_bnb_nodes = 0;
   std::size_t total_lp_iterations = 0;
-  /// Probes whose inherited basis actually factorized and was used
+  /// Solves whose inherited basis actually factorized and was used
   /// (shape mismatches and singular inherits fall back cold).
   std::size_t probes_with_inherited_basis = 0;
-  /// Probes that *rejected* the inherited basis because the formulation
+  /// Solves that *rejected* the inherited basis because the formulation
   /// changed shape or constraint structure between rates (preprocessing
   /// merged differently, a resource row appeared/vanished). Those
-  /// probes cold-start — SimplexState::load_basis's structure check at
+  /// solves cold-start — SimplexState::load_basis's structure check at
   /// work.
   std::size_t probes_with_rejected_basis = 0;
 };

@@ -260,6 +260,64 @@ TEST(BranchAndBound, SerialWalkIsPinned) {
   }
 }
 
+TEST(BranchAndBound, FirstIncumbentStopMatchesFullWalk) {
+  // stop_at_first_incumbent cuts the walk short without changing it: on
+  // the 19 instances of SerialWalkIsPinned the early run returns the
+  // full run's first incumbent, from the same node, and claims a proof
+  // only when that node left nothing open.
+  constexpr std::size_t kAll = 1'000'000;
+  std::vector<PinnedWalk> walks;
+  for (std::uint32_t seed = 9100; seed < 9110; ++seed) {
+    walks.push_back({PinnedWalk::kPartition, seed, kAll});
+  }
+  for (std::uint32_t seed = 9200; seed < 9205; ++seed) {
+    walks.push_back({PinnedWalk::kMarket, seed, kAll});
+  }
+  walks.push_back({PinnedWalk::kSmallMarket, 9312, kAll});
+  for (std::uint32_t seed = 9200; seed < 9203; ++seed) {
+    walks.push_back({PinnedWalk::kMarket, seed, 60});
+  }
+  ASSERT_EQ(walks.size(), 19u);
+  std::size_t cut_short = 0;
+  for (const PinnedWalk& w : walks) {
+    const std::string label = "family=" + std::to_string(w.family) +
+                              " seed=" + std::to_string(w.seed) +
+                              " max_nodes=" + std::to_string(w.max_nodes);
+    MipOptions opts;
+    opts.lp.refactor_interval = 16;
+    opts.max_nodes = w.max_nodes;
+    const LinearProgram lp = pinned_instance(w);
+    const MipResult full = BranchAndBound().solve(lp, opts);
+    opts.stop_at_first_incumbent = true;
+    const MipResult early = BranchAndBound().solve(lp, opts);
+
+    EXPECT_LE(early.nodes_explored, full.nodes_explored) << label;
+    ASSERT_EQ(early.has_incumbent, full.has_incumbent) << label;
+    if (!full.has_incumbent) {
+      // Nothing to stop at: the early run is the full run.
+      EXPECT_EQ(early.status, full.status) << label;
+      EXPECT_EQ(early.nodes_explored, full.nodes_explored) << label;
+      continue;
+    }
+    ASSERT_FALSE(early.incumbents.empty()) << label;
+    EXPECT_NEAR(early.incumbents.front().objective,
+                full.incumbents.front().objective, 1e-9)
+        << label;
+    EXPECT_EQ(early.incumbents.front().node, full.incumbents.front().node)
+        << label;
+    EXPECT_EQ(early.nodes_explored, early.incumbents.front().node) << label;
+    if (early.status == SolveStatus::kOptimal) {
+      // Proved only by exhausting the tree: the full run ends there too.
+      EXPECT_EQ(early.nodes_explored, full.nodes_explored) << label;
+      EXPECT_EQ(full.status, SolveStatus::kOptimal) << label;
+    } else {
+      EXPECT_EQ(early.status, SolveStatus::kIterationLimit) << label;
+      ++cut_short;
+    }
+  }
+  EXPECT_GT(cut_short, 0u);
+}
+
 TEST(BranchAndBound, SerialIsBitReproducible) {
   // The push/pop sequence is deterministic (ties resolve by the heap's
   // sift order): two runs must take the identical walk.
